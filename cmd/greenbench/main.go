@@ -2,7 +2,7 @@
 // evaluation section against the simulated substrate and prints a plain-
 // text report (the data recorded in EXPERIMENTS.md).
 //
-// The experiment cells run through the internal/fleet worker pool — one
+// The experiment cells run through the internal/fleet scheduler — one
 // isolated simulated device per job, fanned across the CPUs — and merge
 // deterministically, so the report bytes match the sequential path at any
 // worker count.
@@ -37,7 +37,8 @@
 //
 // Usage:
 //
-//	greenbench [-o report.txt] [-workers N] [-seq] [-no-asset-cache] [-no-vm]
+//	greenbench [-o report.txt] [-workers N] [-seq] [-stage-workers N]
+//	           [-no-asset-cache] [-no-obs] [-no-vm]
 //	greenbench [-cpuprofile cpu.pb] [-memprofile mem.pb] ...
 //	greenbench -faults default|JSON|@file [-fault-seed S] [-o rows.ndjson]
 //	greenbench -trace out.json [-trace-app NAME] [-trace-kind KIND]
@@ -85,7 +86,6 @@ func run() int {
 	noObs := flag.Bool("no-obs", false, "disable metrics and decision recording (output must be identical)")
 	noVM := flag.Bool("no-vm", false, "execute scripts on the tree-walking interpreter instead of the bytecode VM (output must be identical)")
 	stageWorkers := flag.Int("stage-workers", 0, "render-pipeline stage threads per engine (0 or 1 = serial frame production)")
-	noParallelRender := flag.Bool("no-parallel-render", false, "force serial frame production (output must be identical to the default serial pipeline)")
 	flag.Parse()
 
 	if *noAssetCache {
@@ -101,15 +101,7 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "greenbench: -stage-workers %d out of range [0, %d]\n", *stageWorkers, browser.MaxStageWorkers)
 		return 1
 	}
-	if *noParallelRender && *stageWorkers > 1 {
-		fmt.Fprintln(os.Stderr, "greenbench: -no-parallel-render conflicts with -stage-workers > 1")
-		return 1
-	}
-	if *noParallelRender {
-		browser.SetDefaultStageWorkers(1)
-	} else {
-		browser.SetDefaultStageWorkers(*stageWorkers)
-	}
+	browser.SetDefaultStageWorkers(*stageWorkers)
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {

@@ -1,8 +1,9 @@
 // Command greensrv serves the experiment fleet over HTTP: clients enqueue
 // app × governor sweeps as jobs, poll their status, and stream results as
-// NDJSON while workers — one isolated simulated device each — chew through
-// the queue in parallel. With -nodes N the workers are spread across N
-// shard nodes pulling from a partitioned work-stealing queue; with -store
+// NDJSON while execution slots — one isolated simulated device each — chew
+// through the queue in parallel. The slots belong to -nodes in-process
+// nodes (default 1), each pulling from its own partition of one
+// work-stealing queue and stealing from its siblings; with -store
 // DIR every finished sweep is made durable in a write-ahead log and
 // survives restarts (GET /v1/sweeps/{id} replays from disk).
 //
@@ -14,10 +15,11 @@
 //	         [-store DIR] [-store-compact BYTES]
 //	         [-admit-queue N] [-admit-rate R] [-admit-burst B]
 //	         [-read-header-timeout 10s] [-log-level LEVEL]
-//	         [-no-obs] [-no-trace] [-no-vm] [-drain-timeout 30s] [-obs-dump FILE]
+//	         [-no-obs] [-no-trace] [-no-vm] [-stage-workers N]
+//	         [-drain-timeout 30s] [-obs-dump FILE]
 //
-// With -remote-nodes the execution substrate is a cluster of greennode
-// worker processes reached over TCP instead of in-process pools: jobs ship
+// With -remote-nodes the nodes are greennode worker processes reached over
+// TCP instead of in-process slots (same scheduler, same queue): jobs ship
 // as length-prefixed JSON frames, heartbeats watch each link, and a node
 // that dies mid-sweep is evicted with its jobs re-homed onto the survivors
 // — sweep bytes are identical either way.
@@ -70,8 +72,8 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	nodes := flag.Int("nodes", 1, "shard node count (1 = single worker pool, no shard layer)")
-	workers := flag.Int("workers", 0, "worker count per node (0 = GOMAXPROCS, split across nodes when -nodes > 1)")
+	nodes := flag.Int("nodes", 1, "in-process node count, each with its own work-stealing queue partition")
+	workers := flag.Int("workers", 0, "execution slots per node (0 = GOMAXPROCS split across the nodes)")
 	queue := flag.Int("queue", 0, "job queue depth (0 = 4×workers)")
 	jobTimeout := flag.Duration("job-timeout", 2*time.Minute, "per-attempt execution cap (0 = none)")
 	maxAttempts := flag.Int("max-attempts", 3, "executions per failing job before quarantine (1 = no retry)")
@@ -90,7 +92,6 @@ func main() {
 	noTrace := flag.Bool("no-trace", false, "disable fleet-level distributed tracing only (sweep bytes are identical either way)")
 	noVM := flag.Bool("no-vm", false, "run scripts on the tree-walking interpreter instead of the bytecode VM (outputs must be byte-identical either way)")
 	stageWorkers := flag.Int("stage-workers", 0, "default render-pipeline stage threads per engine (0 or 1 = serial; sweeps may override per job)")
-	noParallelRender := flag.Bool("no-parallel-render", false, "force serial frame production by default (outputs must be byte-identical to the default serial pipeline)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "grace for in-flight sweeps on SIGINT/SIGTERM before cancellation")
 	obsDump := flag.String("obs-dump", "", "file for the final metrics snapshot on shutdown (default stderr)")
 	flag.Parse()
@@ -128,8 +129,6 @@ func main() {
 		fail("-remote-nodes and -nodes > 1 are mutually exclusive (the remote list fixes the node count)")
 	case !harness.ValidStageWorkers(*stageWorkers):
 		fail(fmt.Sprintf("-stage-workers must be in [0, %d]", browser.MaxStageWorkers))
-	case *noParallelRender && *stageWorkers > 1:
-		fail("-no-parallel-render conflicts with -stage-workers > 1")
 	}
 
 	// The sweep context is deliberately NOT the signal context: a signal
@@ -144,24 +143,14 @@ func main() {
 	if *noVM {
 		js.SetVM(false)
 	}
-	if *noParallelRender {
-		browser.SetDefaultStageWorkers(1)
-	} else {
-		browser.SetDefaultStageWorkers(*stageWorkers)
-	}
+	browser.SetDefaultStageWorkers(*stageWorkers)
 
 	sigCtx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	nodeOpts := fleet.Options{
-		JobTimeout: *jobTimeout, MaxAttempts: *maxAttempts,
-		RetryBaseDelay: *retryBase, RetryMaxDelay: *retryMax, RetrySeed: *retrySeed,
-	}
-	var runner fleet.Runner
+	var ns []fleet.Node
 	if *remoteNodes != "" {
-		addrs := strings.Split(*remoteNodes, ",")
-		ns := make([]shard.Node, 0, len(addrs))
-		for i, a := range addrs {
+		for i, a := range strings.Split(*remoteNodes, ",") {
 			a = strings.TrimSpace(a)
 			if a == "" {
 				fail("-remote-nodes: empty address in list")
@@ -172,22 +161,19 @@ func main() {
 			}
 			ns = append(ns, n)
 		}
-		runner = shard.NewWithNodes(ns, *queue)
-	} else if *nodes > 1 {
-		per := *workers
-		if per <= 0 {
-			if per = runtime.GOMAXPROCS(0) / *nodes; per < 1 {
-				per = 1
-			}
-		}
-		runner = shard.New(shard.Options{
-			Nodes: *nodes, WorkersPerNode: per,
-			QueueDepth: *queue, Node: nodeOpts,
-		})
 	} else {
-		nodeOpts.Workers, nodeOpts.QueueDepth = *workers, *queue
-		runner = fleet.New(nodeOpts)
+		nodeOpts := fleet.Options{
+			Workers: *workers, JobTimeout: *jobTimeout, MaxAttempts: *maxAttempts,
+			RetryBaseDelay: *retryBase, RetryMaxDelay: *retryMax, RetrySeed: *retrySeed,
+		}
+		if nodeOpts.Workers == 0 {
+			nodeOpts.Workers = max(1, runtime.GOMAXPROCS(0) / *nodes)
+		}
+		for i := 0; i < *nodes; i++ {
+			ns = append(ns, fleet.NewLocalNode(i, nodeOpts))
+		}
 	}
+	runner := fleet.NewWithNodes(ns, *queue)
 	manager := fleet.NewManager(baseCtx, runner)
 	if *noTrace {
 		manager.SetTracing(false)
@@ -222,14 +208,10 @@ func main() {
 		IdleTimeout:       2 * time.Minute,
 	}
 
-	nodeCount := *nodes
-	if c, ok := runner.(*shard.Cluster); ok {
-		nodeCount = c.Nodes()
-	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	log.Info("listening", "addr", *addr, "workers", runner.Workers(),
-		"nodes", nodeCount, "pid", os.Getpid(),
+		"nodes", runner.Nodes(), "pid", os.Getpid(),
 		"tracing", manager.TracingEnabled())
 
 	select {

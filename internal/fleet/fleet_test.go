@@ -44,40 +44,11 @@ func TestRunSweepZeroJobs(t *testing.T) {
 	}
 }
 
-func TestQueueSaturationTrySubmitRejects(t *testing.T) {
-	started := make(chan Job, 1)
-	release := make(chan struct{})
-	p := New(Options{Workers: 1, QueueDepth: 1, Execute: fakeExec(started, release)})
-	defer p.Close()
-	defer close(release)
-
-	// Occupy the single worker...
-	if err := p.Submit(context.Background(), Job{App: "a"}, nil); err != nil {
-		t.Fatal(err)
-	}
-	<-started
-	// ...and fill the depth-1 queue.
-	if err := p.TrySubmit(context.Background(), Job{App: "b"}, nil); err != nil {
-		t.Fatal(err)
-	}
-	// The queue is saturated: TrySubmit rejects with ErrQueueFull, as
-	// documented, while Submit would block.
-	if err := p.TrySubmit(context.Background(), Job{App: "c"}, nil); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("TrySubmit on full queue = %v, want ErrQueueFull", err)
-	}
-	// A blocking Submit respects cancellation while waiting for space.
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	if err := p.Submit(ctx, Job{App: "d"}, nil); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("blocked Submit = %v, want DeadlineExceeded", err)
-	}
-}
-
 func TestSubmitAfterCloseRejected(t *testing.T) {
 	p := New(Options{Workers: 1, Execute: fakeExec(nil, closedChan())})
 	p.Close()
-	if err := p.Submit(context.Background(), Job{App: "a"}, nil); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Submit after Close = %v, want ErrClosed", err)
+	if err := p.Start(context.Background(), Job{App: "a"}, nil, nil); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Start after Close = %v, want ErrClosed", err)
 	}
 }
 
@@ -326,7 +297,7 @@ func TestDeliverExactlyOnce(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			err := p.Submit(context.Background(), Job{App: "x"}, func(Result) {
+			err := p.Start(context.Background(), Job{App: "x"}, nil, func(Result) {
 				mu.Lock()
 				counts[i]++
 				mu.Unlock()

@@ -110,14 +110,14 @@ type JobStatus struct {
 
 // SweepStatus is the GET /v1/sweeps/{id} body.
 type SweepStatus struct {
-	ID       SweepID     `json:"id"`
-	Created  time.Time   `json:"created"`
-	Total    int         `json:"total"`
-	Queued   int         `json:"queued"`
-	Running  int         `json:"running"`
-	Done     int         `json:"done"`
-	Failed   int         `json:"failed"`
-	Finished bool        `json:"finished"`
+	ID       SweepID   `json:"id"`
+	Created  time.Time `json:"created"`
+	Total    int       `json:"total"`
+	Queued   int       `json:"queued"`
+	Running  int       `json:"running"`
+	Done     int       `json:"done"`
+	Failed   int       `json:"failed"`
+	Finished bool      `json:"finished"`
 	// Persisted is true once the sweep is durable in the server's store
 	// (omitted entirely when the server runs without one).
 	Persisted bool `json:"persisted,omitempty"`
@@ -184,8 +184,8 @@ type Manager struct {
 	// Zero value = tracing on; the obs gate still applies on top.
 	noTracing atomic.Bool
 	// traces is where this manager registers sweep span buffers. Production
-	// uses the process-global trace.Default() (so the shard layer, which only
-	// sees jobs, finds the buffers); tests inject isolated collectors because
+	// uses the process-global trace.Default() (so the Pool pullers, which only
+	// see jobs, find the buffers); tests inject isolated collectors because
 	// managers sharing a process would collide on their per-manager
 	// sequential sweep ids.
 	traces *trace.Collector
@@ -200,7 +200,7 @@ func (m *Manager) TracingEnabled() bool {
 	return !m.noTracing.Load() && obs.EnabledIn(m.ctx)
 }
 
-// NewManager builds a manager over any Runner (a Pool or a shard cluster);
+// NewManager builds a manager over any Runner (a Pool, or a wrapper of one);
 // ctx bounds the lifetime of every sweep it enqueues (pass the server's
 // base context).
 func NewManager(ctx context.Context, r Runner) *Manager {

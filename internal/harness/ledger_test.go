@@ -2,7 +2,9 @@ package harness
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"math"
 	"testing"
 
@@ -150,5 +152,30 @@ func TestGreenWebRunAnnotatesSpans(t *testing.T) {
 	}
 	if withOutcome == 0 {
 		t.Error("no frame spans carry feedback outcomes")
+	}
+}
+
+// TestRunTraceBytesPinned pins the exact bytes ledger.WriteTrace produces
+// for one fixed run (the first catalog app under GreenWeb-U, full trace):
+// the Chrome trace encoder may be refactored, but greenbench -trace and the
+// /trace endpoint must keep emitting the same document byte for byte.
+func TestRunTraceBytesPinned(t *testing.T) {
+	app := apps.All()[0]
+	run, err := Execute(app, GreenWebU, app.Full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	proc := ledger.Process{PID: 1, Name: app.Name, Spans: run.Spans, Marks: run.ConfigMarks}
+	if err := ledger.WriteTrace(&buf, proc); err != nil {
+		t.Fatal(err)
+	}
+	const (
+		wantLen    = 41271
+		wantSHA256 = "51cda44a2392356e76a561424a37d722cea05726b1af08333dacc3c2f11cd0a2"
+	)
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); buf.Len() != wantLen || got != wantSHA256 {
+		t.Fatalf("trace bytes moved: %d bytes sha256 %s, want %d bytes sha256 %s\n%.600s",
+			buf.Len(), got, wantLen, wantSHA256, buf.Bytes())
 	}
 }

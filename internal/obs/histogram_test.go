@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"sync"
 	"testing"
 )
 
@@ -104,5 +105,64 @@ func TestSnapshotMeanAndString(t *testing.T) {
 	}
 	if (HistogramSnapshot{}).Mean() != 0 {
 		t.Error("empty mean != 0")
+	}
+}
+
+func TestHistogramBucketsAndStats(t *testing.T) {
+	h := NewHistogram([]float64{0.01, 0.1, 1})
+	for _, v := range []float64{0.005, 0.01, 0.05, 0.5, 5} {
+		h.Observe(v)
+	}
+	s := h.Snapshot()
+	if s.Count != 5 {
+		t.Fatalf("count = %d, want 5", s.Count)
+	}
+	if math.Abs(s.Sum-5.565) > 1e-9 {
+		t.Fatalf("sum = %v, want 5.565", s.Sum)
+	}
+	want := map[float64]uint64{0.01: 2, 0.1: 1, 1: 1, -1: 1}
+	if len(s.Buckets) != len(want) {
+		t.Fatalf("buckets = %+v, want %v", s.Buckets, want)
+	}
+	for _, b := range s.Buckets {
+		if want[b.LE] != b.Count {
+			t.Errorf("bucket ≤%g = %d, want %d", b.LE, b.Count, want[b.LE])
+		}
+	}
+	if m := s.Mean(); math.Abs(m-5.565/5) > 1e-9 {
+		t.Errorf("mean = %v", m)
+	}
+	// Interpolated: target rank 2.5 lands halfway through the (0.01, 0.1]
+	// bucket, so p50 = 0.01 + 0.5·(0.1−0.01).
+	if q := s.Quantile(0.5); math.Abs(q-0.055) > 1e-12 {
+		t.Errorf("p50 = %v, want 0.055", q)
+	}
+	if q := s.Quantile(1); q != -1 {
+		t.Errorf("p100 = %v, want -1 (overflow)", q)
+	}
+}
+
+func TestHistogramEmpty(t *testing.T) {
+	s := NewLatencyHistogram().Snapshot()
+	if s.Count != 0 || s.Mean() != 0 || s.Quantile(0.99) != 0 || len(s.Buckets) != 0 {
+		t.Fatalf("empty snapshot not empty: %+v", s)
+	}
+}
+
+func TestHistogramConcurrentObserve(t *testing.T) {
+	h := NewLatencyHistogram()
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				h.Observe(float64(w+1) * 0.001)
+			}
+		}(w)
+	}
+	wg.Wait()
+	if s := h.Snapshot(); s.Count != 8000 {
+		t.Fatalf("count = %d, want 8000", s.Count)
 	}
 }

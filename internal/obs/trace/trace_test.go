@@ -2,7 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -208,5 +210,34 @@ func TestWriteFleetTraceCarriesDrops(t *testing.T) {
 	}
 	if drops, _ := tf.OtherData["span_drops"].(float64); drops != 12 {
 		t.Fatalf("span_drops = %v, want 12", tf.OtherData["span_drops"])
+	}
+}
+
+// TestWriteFleetTraceBytesPinned pins the exact bytes of a fleet trace over
+// a fixed span set covering every event shape the writer emits: server and
+// node processes, the sweep lane, complete spans, zero-length instants, and
+// span ids, parents, attempts, node names, and attributes in args.
+func TestWriteFleetTraceBytesPinned(t *testing.T) {
+	spans := []Span{
+		{ID: 1, Name: "admission", Cat: "http", Job: -1, PID: 100, StartUS: 1000, DurUS: 50},
+		{ID: 2, Parent: 1, Name: "queue-wait", Cat: "queue", Job: 0, PID: 100, StartUS: 1050, DurUS: 400},
+		{ID: 3, Parent: 1, Name: "steal", Cat: "sched", Job: 1, PID: 100, StartUS: 1450,
+			Attrs: map[string]string{"thief": "1", "victim": "0"}},
+		{ID: 4, Parent: 2, Name: "execute", Cat: "execute", Job: 0, PID: 200, Node: "alpha", Attempt: 2,
+			StartUS: 1500, DurUS: 9000, Attrs: map[string]string{"try": "1", "err": "boom"}},
+		{ID: 5, Parent: 3, Name: "execute", Cat: "execute", Job: 1, PID: 300, Node: "beta",
+			StartUS: 1500, DurUS: 7000},
+	}
+	var buf bytes.Buffer
+	if err := WriteFleetTrace(&buf, "s-9", spans, 3); err != nil {
+		t.Fatal(err)
+	}
+	const (
+		wantLen    = 2667
+		wantSHA256 = "58850cfae4cea8dcdc51fe2e73fc6cbc9c8ad2388b37a4c1a489a8d8e559ba74"
+	)
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); buf.Len() != wantLen || got != wantSHA256 {
+		t.Fatalf("fleet trace bytes moved: %d bytes sha256 %s, want %d bytes sha256 %s\n%s",
+			buf.Len(), got, wantLen, wantSHA256, buf.Bytes())
 	}
 }

@@ -37,7 +37,7 @@ func TestChaosDrawDeterministic(t *testing.T) {
 // NDJSON plus the cluster for post-assertions.
 func chaosSweep(t *testing.T, spec ChaosSpec, jobs []fleet.Job, exec func(context.Context, fleet.Job) (*harness.Run, error)) (string, int64) {
 	t.Helper()
-	var nodes []Node
+	var nodes []fleet.Node
 	for i := 0; i < 2; i++ {
 		_, addr := startWorker(t, WorkerOptions{Pool: fleet.Options{Workers: 2, Execute: exec}})
 		opts := fastRemote(addr)
@@ -62,7 +62,7 @@ func chaosSweep(t *testing.T, spec ChaosSpec, jobs []fleet.Job, exec func(contex
 		}
 		nodes = append(nodes, n)
 	}
-	c := NewWithNodes(nodes, 0)
+	c := fleet.NewWithNodes(nodes, 0)
 	out := render(t, c, jobs)
 	var reconnects int64
 	for _, n := range nodes {

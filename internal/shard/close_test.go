@@ -32,7 +32,7 @@ func TestClusterCloseRacesSubmissionsAndSteals(t *testing.T) {
 			return nil, ctx.Err()
 		}
 	}
-	c := New(Options{Nodes: 3, WorkersPerNode: 2, QueueDepth: 16, Node: fleet.Options{Execute: exec}})
+	c := localPool(3, 2, 16, fleet.Options{Execute: exec})
 
 	var accepted, delivered, rejected atomic.Int64
 	var wg sync.WaitGroup
@@ -109,7 +109,7 @@ func TestEvictRehomesQueuedJobs(t *testing.T) {
 			return nil, ctx.Err()
 		}
 	}
-	c := New(Options{Nodes: 2, WorkersPerNode: 1, QueueDepth: 16, Node: fleet.Options{Execute: exec}})
+	c := localPool(2, 1, 16, fleet.Options{Execute: exec})
 	defer c.Close()
 
 	var wg sync.WaitGroup
@@ -141,7 +141,7 @@ func TestEvictRehomesQueuedJobs(t *testing.T) {
 }
 
 // TestEvictLastNodeStrandsJobs: with no live sibling, queued jobs are
-// delivered as typed ErrNoNodes failures and later submissions are refused
+// delivered as typed fleet.ErrNoNodes failures and later submissions are refused
 // with the same error.
 func TestEvictLastNodeStrandsJobs(t *testing.T) {
 	block := make(chan struct{})
@@ -153,7 +153,7 @@ func TestEvictLastNodeStrandsJobs(t *testing.T) {
 			return nil, ctx.Err()
 		}
 	}
-	c := New(Options{Nodes: 1, WorkersPerNode: 1, QueueDepth: 8, Node: fleet.Options{Execute: exec}})
+	c := localPool(1, 1, 8, fleet.Options{Execute: exec})
 	defer c.Close()
 
 	results := make(chan fleet.Result, 3)
@@ -180,10 +180,10 @@ func TestEvictLastNodeStrandsJobs(t *testing.T) {
 		case r := <-results:
 			if r.Err == nil {
 				succeeded++
-			} else if errors.Is(r.Err, ErrNoNodes) {
+			} else if errors.Is(r.Err, fleet.ErrNoNodes) {
 				failed++
 			} else {
-				t.Fatalf("stranded job got %v, want ErrNoNodes", r.Err)
+				t.Fatalf("stranded job got %v, want fleet.ErrNoNodes", r.Err)
 			}
 		case <-time.After(5 * time.Second):
 			t.Fatal("stranded job never delivered")
@@ -192,7 +192,7 @@ func TestEvictLastNodeStrandsJobs(t *testing.T) {
 	if succeeded != 1 || failed != 2 {
 		t.Fatalf("succeeded=%d failed=%d, want 1 in-flight success and 2 stranded failures", succeeded, failed)
 	}
-	if err := c.Start(context.Background(), fleet.Job{App: "late"}, nil, nil); !errors.Is(err, ErrNoNodes) {
-		t.Fatalf("Start on fully evicted cluster = %v, want ErrNoNodes", err)
+	if err := c.Start(context.Background(), fleet.Job{App: "late"}, nil, nil); !errors.Is(err, fleet.ErrNoNodes) {
+		t.Fatalf("Start on fully evicted cluster = %v, want fleet.ErrNoNodes", err)
 	}
 }

@@ -3,7 +3,6 @@ package shard
 import (
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -15,19 +14,6 @@ import (
 	"github.com/wattwiseweb/greenweb/internal/fleet"
 	"github.com/wattwiseweb/greenweb/internal/obs/trace"
 )
-
-// ErrNodeDown marks a result whose job never reached a terminal state
-// because the node's transport failed (connection broke, heartbeat
-// suspicion, node declared dead). The cluster treats it as re-homeable: the
-// job re-enters a live partition instead of being delivered as a failure.
-// Re-execution is safe because every cell is a deterministic function of
-// its job, and the store absorbs any replayed row idempotently keyed on
-// (sweep, index).
-var ErrNodeDown = errors.New("shard: node down")
-
-// ErrNoNodes is delivered when a job cannot be re-homed because every node
-// in the cluster has been evicted.
-var ErrNoNodes = errors.New("shard: no live nodes")
 
 // RemoteOptions configures a RemoteNode.
 type RemoteOptions struct {
@@ -52,7 +38,7 @@ type RemoteOptions struct {
 	SuspectAfter int
 
 	// MaxReconnects bounds consecutive failed reconnect attempts before the
-	// node is declared dead and the cluster evicts it. 0 → 5.
+	// node is declared dead and the pool evicts it. 0 → 5.
 	MaxReconnects int
 	// ReconnectBase/ReconnectMax shape the capped exponential backoff
 	// between reconnect attempts. 0 → 100ms / 5s.
@@ -165,8 +151,8 @@ func (s *session) deliver(id uint64, w *wireResult) {
 	}
 }
 
-// fail tears the call table down: every in-flight call gets ErrNodeDown and
-// will be re-homed by its cluster puller.
+// fail tears the call table down: every in-flight call gets fleet.ErrNodeDown and
+// will be re-homed by its pool puller.
 func (s *session) fail(reason error) {
 	s.mu.Lock()
 	s.broken = true
@@ -175,47 +161,22 @@ func (s *session) fail(reason error) {
 	s.mu.Unlock()
 	for id, ch := range calls {
 		ch <- fleet.Result{Job: jobs[id], Worker: -1,
-			Err: fmt.Errorf("%w: %v", ErrNodeDown, reason)}
+			Err: fmt.Errorf("%w: %v", fleet.ErrNodeDown, reason)}
 	}
 }
 
-// HealthSnapshot is a remote node's transport health, exported per node by
-// Cluster.RegisterMetrics.
-type HealthSnapshot struct {
-	Connected       bool          `json:"connected"`
-	Dead            bool          `json:"dead"`
-	LastRTT         time.Duration `json:"last_rtt"` // most recent heartbeat round trip
-	Reconnects      int64         `json:"reconnects"`
-	HeartbeatMisses int64         `json:"heartbeat_misses"`
-	// ClockOffsetUS is the handshake-estimated offset of the worker's clock
-	// from ours (positive = worker ahead), used to align its trace spans.
-	ClockOffsetUS int64 `json:"clock_offset_us"`
-}
-
-// healthReporter is the optional Node facet the cluster polls for health
-// metrics.
-type healthReporter interface {
-	Health() HealthSnapshot
-}
-
-// deathNotifier is the optional Node facet the cluster subscribes to for
-// eviction: fn runs (once, on its own goroutine) when the node gives up.
-type deathNotifier interface {
-	OnDead(fn func())
-}
-
-// RemoteNode is a shard.Node whose execution backend is a greennode worker
+// RemoteNode is a fleet.Node whose execution backend is a greennode worker
 // process reached over the frame protocol. It satisfies the same contract
-// as LocalNode — Run executes one job to a terminal result — with the
-// transport failure modes mapped onto ErrNodeDown so the cluster re-homes
-// rather than fails affected jobs.
+// as fleet.LocalNode — Run executes one job to a terminal result — with the
+// transport failure modes mapped onto fleet.ErrNodeDown so the pool
+// re-homes rather than fails affected jobs.
 //
 // Health model: a heartbeat ping flows every HeartbeatInterval. An
 // unanswered ping past HeartbeatTimeout is a miss; SuspectAfter consecutive
 // misses (or any read/write error) breaks the session, failing in-flight
-// calls with ErrNodeDown and entering the reconnect loop — bounded attempts
+// calls with fleet.ErrNodeDown and entering the reconnect loop — bounded attempts
 // with seeded, jittered exponential backoff. MaxReconnects consecutive
-// failures declare the node dead: OnDead subscribers fire (the cluster
+// failures declare the node dead: OnDead subscribers fire (the pool
 // evicts the partition) and every future Run fails fast.
 type RemoteNode struct {
 	id      int
@@ -240,7 +201,7 @@ type RemoteNode struct {
 }
 
 // NewRemoteNode dials the worker, performs the handshake, and starts the
-// connection manager. The initial dial is synchronous so a cluster over
+// connection manager. The initial dial is synchronous so a pool over
 // unreachable workers fails fast at startup instead of at first job.
 func NewRemoteNode(id int, opts RemoteOptions) (*RemoteNode, error) {
 	opts.fill()
@@ -267,19 +228,15 @@ func NewRemoteNode(id int, opts RemoteOptions) (*RemoteNode, error) {
 func (n *RemoteNode) ID() int { return n.id }
 
 // Workers reports the worker's advertised execution slots (from the
-// handshake), which is how many cluster pullers drive this node.
+// handshake), which is how many pool pullers drive this node.
 func (n *RemoteNode) Workers() int { return n.workers }
 
-// Stats: the remote protocol does not stream pool counters; the cluster's
-// own accounting covers the fleet stats surface.
-func (n *RemoteNode) Stats() fleet.Stats { return fleet.Stats{Workers: n.workers} }
-
 // Health snapshots the transport state.
-func (n *RemoteNode) Health() HealthSnapshot {
+func (n *RemoteNode) Health() fleet.NodeHealth {
 	n.mu.Lock()
 	connected, dead := n.sess != nil, n.dead
 	n.mu.Unlock()
-	return HealthSnapshot{
+	return fleet.NodeHealth{
 		Connected:       connected,
 		Dead:            dead,
 		LastRTT:         time.Duration(n.rttNS.Load()),
@@ -307,7 +264,7 @@ func (n *RemoteNode) OnDead(fn func()) {
 }
 
 // Close stops the connection manager and closes the connection. In-flight
-// Run calls return ErrNodeDown. Idempotent.
+// Run calls return fleet.ErrNodeDown. Idempotent.
 func (n *RemoteNode) Close() {
 	n.mu.Lock()
 	if n.closed {
@@ -551,7 +508,7 @@ func (n *RemoteNode) backoff(attempt int) time.Duration {
 // Run implements Node: ship the job, wait for its result. While the node is
 // disconnected but not yet dead, Run parks until the reconnect resolves —
 // so a transient blip stalls rather than fails the puller. A broken session
-// mid-call returns ErrNodeDown, which the cluster re-homes.
+// mid-call returns fleet.ErrNodeDown, which the pool re-homes.
 func (n *RemoteNode) Run(ctx context.Context, job fleet.Job) fleet.Result {
 	for {
 		n.mu.Lock()
@@ -559,7 +516,7 @@ func (n *RemoteNode) Run(ctx context.Context, job fleet.Job) fleet.Result {
 		n.mu.Unlock()
 		if dead || closed {
 			return fleet.Result{Job: job, Worker: -1,
-				Err: fmt.Errorf("%w: node %d dead", ErrNodeDown, n.id)}
+				Err: fmt.Errorf("%w: node %d dead", fleet.ErrNodeDown, n.id)}
 		}
 		if sess == nil {
 			select {
@@ -585,15 +542,10 @@ func (n *RemoteNode) Run(ctx context.Context, job fleet.Job) fleet.Result {
 			sess.unregister(id)
 			sess.conn.Close() // wake the reader; the loop handles teardown
 			return fleet.Result{Job: job, Worker: -1,
-				Err: fmt.Errorf("%w: %v", ErrNodeDown, err)}
+				Err: fmt.Errorf("%w: %v", fleet.ErrNodeDown, err)}
 		}
 		select {
 		case r := <-ch:
-			if r.Worker >= 0 {
-				// Remap into the cluster-global worker space, mirroring
-				// LocalNode.
-				r.Worker = n.id*n.workers + r.Worker
-			}
 			return r
 		case <-ctx.Done():
 			sess.unregister(id)

@@ -75,7 +75,7 @@ func TestRemoteSweepMatchesLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := render(t, NewWithNodes([]Node{n}, 0), jobs)
+	got := render(t, fleet.NewWithNodes([]fleet.Node{n}, 0), jobs)
 	if got != want {
 		t.Fatalf("remote sweep diverged from sequential output:\n--- got\n%s--- want\n%s", got, want)
 	}
@@ -84,7 +84,7 @@ func TestRemoteSweepMatchesLocal(t *testing.T) {
 // TestKillMidSweepDeterminism is the acceptance pin: a two-node cluster
 // whose worker is killed mid-sweep (the in-process analogue of kill -9)
 // still streams bytes identical to the pristine single-node run. Jobs
-// in flight on the dying node come back as ErrNodeDown and re-home; queued
+// in flight on the dying node come back as fleet.ErrNodeDown and re-home; queued
 // jobs move at eviction; both re-execute deterministically elsewhere.
 func TestKillMidSweepDeterminism(t *testing.T) {
 	exec := func(ctx context.Context, j fleet.Job) (*harness.Run, error) {
@@ -130,7 +130,7 @@ func TestKillMidSweepDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewWithNodes([]Node{n0, n1}, 0)
+	c := fleet.NewWithNodes([]fleet.Node{n0, n1}, 0)
 	got := render(t, c, jobs)
 	if got != want {
 		t.Fatalf("kill-mid-sweep output diverged from pristine single-node run:\n--- got\n%s--- want\n%s", got, want)
@@ -147,7 +147,7 @@ func TestKillMidSweepDeterminism(t *testing.T) {
 // mute — swallowing pings and jobs — is suspected after consecutive
 // heartbeat misses; with its listener gone, the reconnect budget exhausts
 // and the node is declared dead, firing OnDead and failing in-flight Runs
-// with ErrNodeDown.
+// with fleet.ErrNodeDown.
 func TestHeartbeatSuspicionAndDeath(t *testing.T) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -192,8 +192,8 @@ func TestHeartbeatSuspicionAndDeath(t *testing.T) {
 		t.Fatal("node never declared dead")
 	}
 	res := <-resc
-	if !errors.Is(res.Err, ErrNodeDown) {
-		t.Fatalf("in-flight Run err = %v, want ErrNodeDown", res.Err)
+	if !errors.Is(res.Err, fleet.ErrNodeDown) {
+		t.Fatalf("in-flight Run err = %v, want fleet.ErrNodeDown", res.Err)
 	}
 	h := n.Health()
 	if !h.Dead || h.Connected {
@@ -217,7 +217,7 @@ func TestRemoteHealthMetricsExposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewWithNodes([]Node{n}, 0)
+	c := fleet.NewWithNodes([]fleet.Node{n}, 0)
 	defer c.Close()
 	reg := obs.NewRegistry()
 	c.RegisterMetrics(reg)

@@ -48,6 +48,17 @@ func render(t *testing.T, r fleet.Runner, jobs []fleet.Job) string {
 	return buf.String()
 }
 
+// localPool builds a fleet.Pool over nodes in-process nodes of workers
+// slots each, sharing one retry-ladder template.
+func localPool(nodes, workers, queueDepth int, opts fleet.Options) *fleet.Pool {
+	opts.Workers = workers
+	ns := make([]fleet.Node, nodes)
+	for i := range ns {
+		ns[i] = fleet.NewLocalNode(i, opts)
+	}
+	return fleet.NewWithNodes(ns, queueDepth)
+}
+
 // TestTopologyDeterminism pins the standing guarantee at every tested
 // node×worker count: sweep NDJSON — including a faulted sweep's retry and
 // quarantine provenance — is byte-identical to the sequential path at
@@ -67,7 +78,7 @@ func TestTopologyDeterminism(t *testing.T) {
 	}
 
 	for _, topo := range []struct{ nodes, workers int }{{1, 1}, {2, 4}, {4, 2}} {
-		c := New(Options{Nodes: topo.nodes, WorkersPerNode: topo.workers, Node: nodeOpts})
+		c := localPool(topo.nodes, topo.workers, 0, nodeOpts)
 		got := render(t, c, jobs)
 		if got != want {
 			t.Fatalf("%d×%d topology diverged from sequential output:\n--- got\n%s--- want\n%s",
@@ -92,7 +103,7 @@ func fakeExec(d map[string]time.Duration) func(context.Context, fleet.Job) (*har
 // loaded sibling instead of idling.
 func TestWorkStealing(t *testing.T) {
 	exec := fakeExec(map[string]time.Duration{"slow": 30 * time.Millisecond, "fast": time.Millisecond})
-	c := New(Options{Nodes: 2, WorkersPerNode: 1, QueueDepth: 64, Node: fleet.Options{Execute: exec}})
+	c := localPool(2, 1, 64, fleet.Options{Execute: exec})
 	defer c.Close()
 
 	// Round-robin partitioning: even submissions land on node 0's
@@ -135,7 +146,7 @@ func TestClusterBackpressureAndClose(t *testing.T) {
 			return nil, ctx.Err()
 		}
 	}
-	c := New(Options{Nodes: 2, WorkersPerNode: 1, QueueDepth: 2, Node: fleet.Options{Execute: exec}})
+	c := localPool(2, 1, 2, fleet.Options{Execute: exec})
 
 	var wg sync.WaitGroup
 	deliver := func(fleet.Result) { wg.Done() }
@@ -164,7 +175,7 @@ func TestClusterBackpressureAndClose(t *testing.T) {
 // per-partition depth gauges.
 func TestClusterMetricsExposition(t *testing.T) {
 	exec := fakeExec(map[string]time.Duration{"slow": 20 * time.Millisecond, "fast": time.Millisecond})
-	c := New(Options{Nodes: 2, WorkersPerNode: 1, Node: fleet.Options{Execute: exec}})
+	c := localPool(2, 1, 0, fleet.Options{Execute: exec})
 	defer c.Close()
 	reg := obs.NewRegistry()
 	c.RegisterMetrics(reg)
@@ -211,7 +222,7 @@ func TestClusterDeliverExactlyOnceUnderCancel(t *testing.T) {
 			return &harness.Run{}, nil
 		}
 	}
-	c := New(Options{Nodes: 3, WorkersPerNode: 2, Node: fleet.Options{Execute: exec}})
+	c := localPool(3, 2, 0, fleet.Options{Execute: exec})
 	defer c.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
