@@ -77,9 +77,9 @@ type CPU struct {
 	// Fault-injection state (all inert until SetDVFSFaults/EnableThermal).
 	thermal       *Thermal
 	dvfs          DVFSFaults
-	lastRequested Config     // most recent SetConfig argument, pre-clamp
-	granted       Config     // configuration the last request resolved to
-	pendingEv     *sim.Event // in-flight delayed transition
+	lastRequested Config    // most recent SetConfig argument, pre-clamp
+	granted       Config    // configuration the last request resolved to
+	pendingEv     sim.Event // in-flight delayed transition
 	faultStats    FaultStats
 }
 
@@ -195,11 +195,9 @@ func (c *CPU) SetConfig(cfg Config) {
 // returns the configuration the request resolved to.
 func (c *CPU) requestConfig(cfg Config) Config {
 	cfg = c.ClampToCeiling(cfg)
-	if c.pendingEv != nil {
-		// A delayed transition is in flight; the newest request supersedes it.
-		c.pendingEv.Cancel()
-		c.pendingEv = nil
-	}
+	// A delayed transition in flight is superseded by the newest request.
+	c.pendingEv.Cancel()
+	c.pendingEv = sim.Event{}
 	if cfg == c.cfg {
 		return cfg
 	}
@@ -213,7 +211,7 @@ func (c *CPU) requestConfig(cfg Config) Config {
 			c.faultStats.Delayed++
 			target := cfg
 			c.pendingEv = c.sim.After(delay, "acmp:dvfs-delayed", func() {
-				c.pendingEv = nil
+				c.pendingEv = sim.Event{}
 				t := c.ClampToCeiling(target)
 				if t != c.cfg {
 					c.applyConfig(t)
@@ -340,7 +338,10 @@ func (c *CPU) threadBusyChanged(delta int) {
 // browser-process I/O), which mirrors the ample core count of the modelled
 // SoC (four per cluster).
 func (c *CPU) NewThread(name string) *Thread {
-	t := &Thread{cpu: c, name: name}
+	t := &Thread{cpu: c, name: name, cpuDoneName: name + ":cpu-done", indepDoneName: name + ":indep-done"}
+	// Bind the completion callbacks once: scheduling them then allocates
+	// neither a name nor a method value.
+	t.onCPUDone, t.onItemDone = t.cpuPhaseDone, t.itemDone
 	c.threads = append(c.threads, t)
 	c.refreshPower()
 	return t
@@ -373,7 +374,11 @@ type Thread struct {
 	cur             workItem
 	remainingCycles float64 // in active-cluster cycles
 	segStart        sim.Time
-	doneEv          *sim.Event
+	doneEv          sim.Event
+
+	// Event names and bound completion callbacks, built once in NewThread.
+	cpuDoneName, indepDoneName string
+	onCPUDone, onItemDone      func()
 
 	busyTotal sim.Duration
 	executed  int
@@ -419,8 +424,11 @@ func (t *Thread) startNext() {
 		t.state = threadIdle
 		return
 	}
+	// Shift the queue down in place so its backing array is reused.
 	t.cur = t.queue[0]
-	t.queue = t.queue[1:]
+	n := copy(t.queue, t.queue[1:])
+	t.queue[n] = workItem{}
+	t.queue = t.queue[:n]
 	cluster := t.cpu.cfg.Cluster
 	t.remainingCycles = float64(t.cur.work.Cycles(cluster))
 	if t.remainingCycles > 0 {
@@ -447,10 +455,8 @@ func (t *Thread) scheduleCompletion() {
 	if finish < now {
 		finish = now
 	}
-	if t.doneEv != nil {
-		t.doneEv.Cancel()
-	}
-	t.doneEv = t.cpu.sim.At(finish, t.name+":cpu-done", t.cpuPhaseDone)
+	t.doneEv.Cancel()
+	t.doneEv = t.cpu.sim.At(finish, t.cpuDoneName, t.onCPUDone)
 }
 
 // accrueProgress charges cycles executed since segStart under the old
@@ -500,7 +506,7 @@ func (t *Thread) cpuPhaseDone() {
 	}
 	t.segStart = now
 	t.remainingCycles = 0
-	t.doneEv = nil
+	t.doneEv = sim.Event{}
 	t.cpu.threadBusyChanged(-1)
 	t.startIndepPhase()
 }
@@ -508,7 +514,7 @@ func (t *Thread) cpuPhaseDone() {
 func (t *Thread) startIndepPhase() {
 	if t.cur.work.Indep > 0 {
 		t.state = threadIndepPhase
-		t.cpu.sim.After(t.cur.work.Indep, t.name+":indep-done", t.itemDone)
+		t.cpu.sim.After(t.cur.work.Indep, t.indepDoneName, t.onItemDone)
 	} else {
 		t.itemDone()
 	}

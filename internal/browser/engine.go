@@ -2,7 +2,7 @@ package browser
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/wattwiseweb/greenweb/internal/acmp"
 	"github.com/wattwiseweb/greenweb/internal/css"
@@ -97,6 +97,10 @@ type Engine struct {
 	// Renderer main-thread task queue (serial).
 	mainQ    []task
 	mainBusy bool
+	mainCur  task // the task mainBusy refers to
+	// onMainDone and onVSync are mainTaskDone and vsyncTick, bound once so
+	// scheduling them allocates no method value.
+	onMainDone, onVSync func()
 
 	// Frame production state (Fig. 7/8).
 	dirty     bool
@@ -115,11 +119,15 @@ type Engine struct {
 	curProv     Provenance
 	curDispatch *DispatchResult
 
-	uidSeq  UID
-	inputs  map[UID]InputRecord
-	refs    map[UID]int
-	done    map[UID]bool
-	results []FrameResult
+	uidSeq UID
+	inputs map[UID]InputRecord
+	refs   map[UID]int
+	done   map[UID]bool
+	// zeroed lists the inputs whose refcount fell to zero while not done
+	// since the last checkComplete — its only completion candidates.
+	// zeroedSpare is the other buffer of the pair checkComplete swaps.
+	zeroed, zeroedSpare []UID
+	results             []FrameResult
 
 	consoleLines []string
 	scriptErrs   []error
@@ -153,6 +161,7 @@ func New(s *sim.Simulator, cpu *acmp.CPU, cost *CostModel) *Engine {
 		refs:      make(map[UID]int),
 		done:      make(map[UID]bool),
 	}
+	e.onMainDone, e.onVSync = e.mainTaskDone, e.vsyncTick
 	e.browserThread = cpu.NewThread("browser")
 	e.mainThread = cpu.NewThread("renderer-main")
 	e.compositorThread = cpu.NewThread("compositor")
@@ -279,7 +288,7 @@ func (e *Engine) RequestAnimationFrame(cb js.Value) int {
 	e.rafSeq++
 	prov := e.curProv.Clone()
 	e.rafQueue = append(e.rafQueue, rafRequest{id: e.rafSeq, cb: cb, prov: prov})
-	for id := range prov {
+	for _, id := range prov {
 		e.ref(id, +1)
 	}
 	if e.curDispatch != nil {
@@ -294,7 +303,7 @@ func (e *Engine) RequestAnimationFrame(cb js.Value) int {
 func (e *Engine) SetTimeout(cb js.Value, delay sim.Duration) int {
 	e.rafSeq++
 	prov := e.curProv.Clone()
-	for id := range prov {
+	for _, id := range prov {
 		e.ref(id, +1)
 	}
 	e.simu.After(delay, "timeout", func() {
@@ -311,7 +320,7 @@ func (e *Engine) SetTimeout(cb js.Value, delay sim.Duration) int {
 			},
 			commit: func() {
 				e.commitDispatchEffects(prov, d)
-				for id := range prov {
+				for _, id := range prov {
 					e.ref(id, -1)
 				}
 				e.checkComplete()
@@ -517,7 +526,6 @@ func (e *Engine) newInput(event, target string) UID {
 	e.uidSeq++
 	uid := e.uidSeq
 	e.inputs[uid] = InputRecord{UID: uid, Event: event, Target: target, Start: e.simu.Now()}
-	e.refs[uid] = 0
 	e.ref(uid, +1) // in-flight input processing
 	obsInputs.Inc()
 	if e.led != nil {
@@ -618,21 +626,32 @@ func (e *Engine) pumpMain() {
 	if e.mainBusy || len(e.mainQ) == 0 {
 		return
 	}
+	// Shift the queue down in place so its backing array is reused.
 	t := e.mainQ[0]
-	e.mainQ = e.mainQ[1:]
+	n := copy(e.mainQ, e.mainQ[1:])
+	e.mainQ[n] = task{}
+	e.mainQ = e.mainQ[:n]
 	e.mainBusy = true
+	e.mainCur = t
 	e.curProv = t.prov
 	w := t.run()
 	e.curProv = nil
-	e.mainThread.Submit(w, func() {
-		if t.commit != nil {
-			e.curProv = t.prov
-			t.commit()
-			e.curProv = nil
-		}
-		e.mainBusy = false
-		e.pumpMain()
-	})
+	e.mainThread.Submit(w, e.onMainDone)
+}
+
+// mainTaskDone commits the finished main-thread task and starts the next.
+// mainBusy keeps a second task from starting before it runs, so mainCur is
+// still the task that finished.
+func (e *Engine) mainTaskDone() {
+	t := e.mainCur
+	e.mainCur = task{}
+	if t.commit != nil {
+		e.curProv = t.prov
+		t.commit()
+		e.curProv = nil
+	}
+	e.mainBusy = false
+	e.pumpMain()
 }
 
 // ---- dirty bit + message queue (Fig. 8 Part II) ----
@@ -644,9 +663,9 @@ func (e *Engine) markDirty(prov Provenance) {
 	// pending frame would "complete" before the frame exists, and per-frame
 	// governors would never see its frames (Sec. 6.4's closure includes
 	// the frames themselves).
-	for uid := range prov {
+	for _, uid := range prov {
 		if !e.dirtyProv.Has(uid) {
-			e.dirtyProv[uid] = struct{}{}
+			e.dirtyProv.add(uid)
 			e.ref(uid, +1)
 		}
 	}
@@ -666,9 +685,13 @@ func (e *Engine) enqueueMsg(rec InputRecord) {
 // ---- reference counting for event closure (Sec. 6.4) ----
 
 func (e *Engine) ref(uid UID, delta int) {
-	e.refs[uid] += delta
-	if e.refs[uid] < 0 {
+	n := e.refs[uid] + delta
+	e.refs[uid] = n
+	switch {
+	case n < 0:
 		panic(fmt.Sprintf("browser: negative refcount for input %d", uid))
+	case n == 0 && !e.done[uid]:
+		e.zeroed = append(e.zeroed, uid)
 	}
 }
 
@@ -676,14 +699,24 @@ func (e *Engine) ref(uid UID, delta int) {
 // has been exhausted: no queued message, pending animation, or in-flight
 // work references them anymore. Completions fire in ascending UID order so
 // simultaneous completions notify the governor deterministically.
+//
+// Only inputs zeroed since the last call can be ready: any other input at
+// zero is already done. The candidate list is taken and reset before the
+// governor runs, so an input a completion callback drives to zero waits
+// for the next call, and the cost is bounded by the inputs zeroed since
+// the last call rather than by every input ever seen.
 func (e *Engine) checkComplete() {
-	var ready []UID
-	for uid, n := range e.refs {
-		if n == 0 && !e.done[uid] {
+	cands := e.zeroed
+	e.zeroed, e.zeroedSpare = e.zeroedSpare[:0], nil
+	// A candidate may have been zeroed twice, or re-referenced since.
+	ready := cands[:0]
+	for _, uid := range cands {
+		if e.refs[uid] == 0 && !e.done[uid] {
 			ready = append(ready, uid)
 		}
 	}
-	sort.Slice(ready, func(i, j int) bool { return ready[i] < ready[j] })
+	slices.Sort(ready)
+	ready = slices.Compact(ready)
 	for _, uid := range ready {
 		e.done[uid] = true
 		e.gov.OnEventComplete(uid)
@@ -695,6 +728,7 @@ func (e *Engine) checkComplete() {
 			e.led.EndEvent(uint64(uid))
 		}
 	}
+	e.zeroedSpare = ready[:0]
 }
 
 // ---- VSync and frame production ----
@@ -711,7 +745,7 @@ func (e *Engine) ensureVSync() {
 	period := e.cost.VSyncPeriod
 	now := e.simu.Now()
 	next := sim.Time((int64(now)/int64(period) + 1) * int64(period))
-	e.simu.At(next, "vsync", e.vsyncTick)
+	e.simu.At(next, "vsync", e.onVSync)
 }
 
 func (e *Engine) vsyncTick() {
@@ -783,7 +817,7 @@ func (e *Engine) beginFrame() {
 		},
 		commit: func() {
 			for _, r := range rafs {
-				for id := range r.prov {
+				for _, id := range r.prov {
 					e.ref(id, -1)
 				}
 			}
@@ -826,7 +860,7 @@ func (e *Engine) produceFrame(begin sim.Time, _ Provenance) {
 	e.dirty = false
 	prov := dirtied.Clone()
 	for _, m := range msgs {
-		prov[m.UID] = struct{}{}
+		prov.add(m.UID)
 	}
 
 	e.frameSeq++
@@ -879,7 +913,7 @@ func (e *Engine) frameComplete(seq int, begin sim.Time, cfg acmp.Config, prov, d
 		fr.Inputs = append(fr.Inputs, InputLatency{Input: m, Latency: end.Sub(m.Start)})
 		e.ref(m.UID, -1)
 	}
-	for uid := range dirtied {
+	for _, uid := range dirtied {
 		e.ref(uid, -1)
 	}
 	e.results = append(e.results, fr)

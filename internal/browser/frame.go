@@ -1,7 +1,7 @@
 package browser
 
 import (
-	"sort"
+	"slices"
 
 	"github.com/wattwiseweb/greenweb/internal/acmp"
 	"github.com/wattwiseweb/greenweb/internal/sim"
@@ -17,48 +17,54 @@ type UID uint64
 // that created them; a frame's provenance is the union over everything
 // batched into it. This implements the message-propagation metadata (Msg)
 // of Fig. 8 and the transitive-closure association of Sec. 6.4.
-type Provenance map[UID]struct{}
+//
+// The set is a sorted, duplicate-free slice: sets hold one or two inputs
+// in practice, where a slice is cheaper to build, copy and probe than a map,
+// and it iterates in ascending order. Only add and Merge modify a set;
+// everything else treats it as read-only.
+type Provenance []UID
 
 // NewProvenance builds a set from ids.
 func NewProvenance(ids ...UID) Provenance {
-	p := make(Provenance, len(ids))
+	var p Provenance
 	for _, id := range ids {
-		p[id] = struct{}{}
+		p.add(id)
 	}
 	return p
 }
 
 // Clone copies the set.
 func (p Provenance) Clone() Provenance {
-	c := make(Provenance, len(p))
-	for id := range p {
-		c[id] = struct{}{}
+	if len(p) == 0 {
+		return nil
 	}
-	return c
+	return slices.Clone(p)
+}
+
+// add inserts id, keeping the set sorted.
+func (p *Provenance) add(id UID) {
+	i, found := slices.BinarySearch(*p, id)
+	if !found {
+		*p = slices.Insert(*p, i, id)
+	}
 }
 
 // Merge adds all of o into p.
-func (p Provenance) Merge(o Provenance) {
-	for id := range o {
-		p[id] = struct{}{}
+func (p *Provenance) Merge(o Provenance) {
+	for _, id := range o {
+		p.add(id)
 	}
 }
 
 // Has reports membership.
 func (p Provenance) Has(id UID) bool {
-	_, ok := p[id]
-	return ok
+	_, found := slices.BinarySearch(p, id)
+	return found
 }
 
-// IDs returns the members in ascending order.
-func (p Provenance) IDs() []UID {
-	out := make([]UID, 0, len(p))
-	for id := range p {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+// IDs returns the members in ascending order. The result shares the set's
+// storage; callers must not modify it.
+func (p Provenance) IDs() []UID { return p }
 
 // InputRecord is the engine-side record of one injected input (the Msg of
 // Fig. 8: a unique id plus its start timestamp).

@@ -193,7 +193,7 @@ func (e *Engine) produceFrameStaged(begin sim.Time) {
 	e.dirty = false
 	prov := dirtied.Clone()
 	for _, m := range msgs {
-		prov[m.UID] = struct{}{}
+		prov.add(m.UID)
 	}
 
 	e.frameSeq++

@@ -119,7 +119,7 @@ type Runtime struct {
 	// active maps in-flight annotated input UIDs to their model key.
 	active map[browser.UID]string
 
-	idleTimer *sim.Event
+	idleTimer sim.Event
 
 	// Degradation-ladder state, per class: consecutive violated frames,
 	// consecutive clean frames while degraded, and the degraded flag
@@ -293,9 +293,7 @@ func (r *Runtime) reschedule() {
 	if len(r.active) == 0 {
 		// Demote to the idle configuration only after a grace period:
 		// interaction bursts would otherwise thrash the configuration.
-		if r.idleTimer != nil {
-			r.idleTimer.Cancel()
-		}
+		r.idleTimer.Cancel()
 		if r.opts.IdleGrace <= 0 {
 			r.cpu.SetConfig(r.clamp(r.opts.IdleConfig))
 			return
@@ -327,10 +325,8 @@ func (r *Runtime) reschedule() {
 		})
 		return
 	}
-	if r.idleTimer != nil {
-		r.idleTimer.Cancel()
-		r.idleTimer = nil
-	}
+	r.idleTimer.Cancel()
+	r.idleTimer = sim.Event{}
 	var best acmp.Config
 	have := false
 	for _, key := range r.active {
@@ -446,7 +442,7 @@ func (r *Runtime) annotateFrameStart(m *Model) {
 func (r *Runtime) OnFrameEnd(fr *browser.FrameResult) {
 	// Frame accounting for every active class in the provenance, not just
 	// the driving one, so frameless detection stays accurate.
-	for uid := range fr.Provenance {
+	for _, uid := range fr.Provenance {
 		if key, ok := r.active[uid]; ok {
 			if m := r.models[key]; m != nil {
 				m.SawFrame()

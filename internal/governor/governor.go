@@ -132,6 +132,7 @@ type Interactive struct {
 	boostUntil  sim.Time
 	stopped     bool
 	stopAtQuiet bool
+	onTimer     func() // the timer callback, built once in Attach
 }
 
 // NewInteractive returns an Interactive governor with the given parameters.
@@ -147,6 +148,13 @@ func (g *Interactive) Attach(e *browser.Engine) {
 	g.cpu.SetConfig(acmp.LowestConfig())
 	g.lastSample = e.Sim().Now()
 	g.lowSince = e.Sim().Now()
+	g.onTimer = func() {
+		if g.stopped {
+			return
+		}
+		g.sample()
+		g.scheduleTimer()
+	}
 	g.scheduleTimer()
 }
 
@@ -155,13 +163,7 @@ func (g *Interactive) Attach(e *browser.Engine) {
 func (g *Interactive) Stop() { g.stopped = true }
 
 func (g *Interactive) scheduleTimer() {
-	g.e.Sim().After(g.P.TimerRate, "interactive:timer", func() {
-		if g.stopped {
-			return
-		}
-		g.sample()
-		g.scheduleTimer()
-	})
+	g.e.Sim().After(g.P.TimerRate, "interactive:timer", g.onTimer)
 }
 
 func (g *Interactive) sample() {

@@ -444,13 +444,15 @@ func executeHTML(ctx context.Context, app *apps.App, html string, kind Kind, tra
 	// Close out the attribution ledger and enforce conservation: every joule
 	// the meter integrated must appear in exactly one frame/idle span, so an
 	// attribution bug fails the run instead of silently skewing the numbers.
+	// One snapshot serves the check, the totals and the run's span list.
 	led.Finish()
-	if err := led.Check(); err != nil {
+	run.Spans = led.Spans()
+	totals := ledger.Sum(run.Spans)
+	if err := led.CheckTotals(totals); err != nil {
 		return nil, nil, fmt.Errorf("harness: %s/%s: %w", app.Name, kind, err)
 	}
-	run.FrameEnergy, run.IdleEnergy, run.EventEnergy = led.Summary()
-	run.StageEnergy = led.StageEnergy()
-	run.Spans = led.Spans()
+	run.FrameEnergy, run.IdleEnergy, run.EventEnergy = totals.Frame, totals.Idle, totals.Event
+	run.StageEnergy = totals.Stage
 	run.ConfigMarks = led.Marks()
 	run.Decisions = rec.Decisions()
 	if daq != nil {

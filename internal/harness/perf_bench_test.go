@@ -43,6 +43,37 @@ func BenchmarkExecuteCellWarmFull(b *testing.B) {
 	}
 }
 
+// BenchmarkExecuteCellWarmSuite measures the 48 warm full cells of the
+// paper grid (12 catalog apps × Perf, Interactive, GreenWeb-I, GreenWeb-U)
+// per iteration. Unlike the single BBC cell above, whose time goes mostly
+// to page load, clone and cascade, this mix is dominated by the
+// discrete-event loop the full report pays for.
+func BenchmarkExecuteCellWarmSuite(b *testing.B) {
+	var cells []Cell
+	for _, app := range apps.All() {
+		for _, kind := range []Kind{Perf, Interactive, GreenWebI, GreenWebU} {
+			cells = append(cells, Cell{App: app, Kind: kind, Full: true})
+		}
+	}
+	if len(cells) != 48 {
+		b.Fatalf("suite has %d cells, want 48", len(cells))
+	}
+	for _, c := range cells {
+		if _, err := ExecuteCell(context.Background(), c); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, c := range cells {
+			if _, err := ExecuteCell(context.Background(), c); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // scriptHeavyApp models a page whose tap handler is real JavaScript — a
 // hashing kernel in plain loops — rather than the catalog's work() native
 // stand-in (which charges ops without interpreting anything). This is the

@@ -357,43 +357,56 @@ func (l *Ledger) Spans() []Span {
 // Marks returns the configuration-change history observed by the ledger.
 func (l *Ledger) Marks() []ConfigMark { return l.marks }
 
+// Totals is the energy of a span snapshot summed per kind. Frame and Idle
+// partition the meter integral; Event may double-count overlapping events;
+// Stage windows nest inside frame windows, so Stage never exceeds Frame.
+type Totals struct {
+	Frame, Idle, Event, Stage acmp.Joules
+}
+
+// Sum totals spans per kind in slice order. Given one Spans snapshot it
+// reproduces Summary and StageEnergy bit for bit, so a caller that needs
+// several of them snapshots the ledger once.
+func Sum(spans []Span) Totals {
+	var t Totals
+	for _, sp := range spans {
+		switch sp.Kind {
+		case KindFrame:
+			t.Frame += sp.Energy
+		case KindIdle:
+			t.Idle += sp.Energy
+		case KindEvent:
+			t.Event += sp.Energy
+		case KindStage:
+			t.Stage += sp.Energy
+		}
+	}
+	return t
+}
+
 // Summary reports the attributed energy totals: frame-production energy,
 // everything-else energy (the two partition the meter integral), and the
 // event-overlay total (which may double-count overlapping events).
 func (l *Ledger) Summary() (frame, idle, event acmp.Joules) {
-	for _, sp := range l.Spans() {
-		switch sp.Kind {
-		case KindFrame:
-			frame += sp.Energy
-		case KindIdle:
-			idle += sp.Energy
-		case KindEvent:
-			event += sp.Energy
-		}
-	}
-	return frame, idle, event
+	t := Sum(l.Spans())
+	return t.Frame, t.Idle, t.Event
 }
 
 // StageEnergy reports the total energy attributed to render-stage spans.
 // Stage windows are disjoint and nested inside frame windows, so this never
 // exceeds the frame total of Summary.
-func (l *Ledger) StageEnergy() acmp.Joules {
-	var total acmp.Joules
-	for _, sp := range l.Spans() {
-		if sp.Kind == KindStage {
-			total += sp.Energy
-		}
-	}
-	return total
-}
+func (l *Ledger) StageEnergy() acmp.Joules { return Sum(l.Spans()).Stage }
 
 // Check enforces the conservation invariant: the frame+idle span energies
 // must sum to the meter integral since attach within ConservationTolerance.
 // Any discrepancy is an accounting bug in the attribution pipeline.
-func (l *Ledger) Check() error {
+func (l *Ledger) Check() error { return l.CheckTotals(Sum(l.Spans())) }
+
+// CheckTotals is Check against totals already summed from a Spans snapshot
+// taken at the current instant.
+func (l *Ledger) CheckTotals(t Totals) error {
 	total := l.cpu.Meter().Energy() - l.baseline
-	frame, idle, _ := l.Summary()
-	sum := frame + idle
+	sum := t.Frame + t.Idle
 	if diff := math.Abs(float64(sum - total)); diff > ConservationTolerance {
 		return fmt.Errorf("ledger: conservation violated: spans sum to %.12f J, meter integral is %.12f J (|Δ| = %.3e J > %g)",
 			float64(sum), float64(total), diff, ConservationTolerance)

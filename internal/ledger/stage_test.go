@@ -57,6 +57,15 @@ func TestStageSpansPartitionFrameEnergy(t *testing.T) {
 	if got := float64(r.led.StageEnergy()); math.Abs(got-stageSum) > ConservationTolerance {
 		t.Errorf("StageEnergy() = %v, spans sum to %v", got, stageSum)
 	}
+	// One snapshot's Sum is bit-identical to the per-method totals, and
+	// CheckTotals agrees with Check.
+	tot := Sum(r.led.Spans())
+	if fE2, iE2, eE2 := r.led.Summary(); tot.Frame != fE2 || tot.Idle != iE2 || tot.Event != eE2 || tot.Stage != r.led.StageEnergy() {
+		t.Errorf("Sum = %+v, Summary = (%v, %v, %v), StageEnergy = %v", tot, fE2, iE2, eE2, r.led.StageEnergy())
+	}
+	if err := r.led.CheckTotals(tot); err != nil {
+		t.Errorf("CheckTotals: %v", err)
+	}
 	// The stages tile the frame window with zero-duration gaps only, so the
 	// residual (frame − Σstage) must vanish to the conservation tolerance.
 	if resid := math.Abs(float64(frame.Energy) - stageSum); resid > ConservationTolerance {

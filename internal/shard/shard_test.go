@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -59,34 +58,6 @@ func localPool(nodes, workers, queueDepth int, opts fleet.Options) *fleet.Pool {
 	return fleet.NewWithNodes(ns, queueDepth)
 }
 
-// TestTopologyDeterminism pins the standing guarantee at every tested
-// node×worker count: sweep NDJSON — including a faulted sweep's retry and
-// quarantine provenance — is byte-identical to the sequential path at
-// 1×1, 2×4, and 4×2.
-func TestTopologyDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-trace sweep ×4 topologies")
-	}
-	jobs := topologyJobs()
-	nodeOpts := fleet.Options{MaxAttempts: 2, RetryBaseDelay: time.Millisecond}
-
-	seqOpts := nodeOpts
-	seqOpts.Workers = 1
-	want := render(t, fleet.New(seqOpts), jobs)
-	if !strings.Contains(want, `"quarantined":true`) {
-		t.Fatalf("sweep exercised no quarantine; doomed spec too weak:\n%s", want)
-	}
-
-	for _, topo := range []struct{ nodes, workers int }{{1, 1}, {2, 4}, {4, 2}} {
-		c := localPool(topo.nodes, topo.workers, 0, nodeOpts)
-		got := render(t, c, jobs)
-		if got != want {
-			t.Fatalf("%d×%d topology diverged from sequential output:\n--- got\n%s--- want\n%s",
-				topo.nodes, topo.workers, got, want)
-		}
-	}
-}
-
 // fakeExec builds an Execute override with per-app latencies.
 func fakeExec(d map[string]time.Duration) func(context.Context, fleet.Job) (*harness.Run, error) {
 	return func(ctx context.Context, j fleet.Job) (*harness.Run, error) {
@@ -96,77 +67,6 @@ func fakeExec(d map[string]time.Duration) func(context.Context, fleet.Job) (*har
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
-	}
-}
-
-// TestWorkStealing: a node that drains its home partition steals from its
-// loaded sibling instead of idling.
-func TestWorkStealing(t *testing.T) {
-	exec := fakeExec(map[string]time.Duration{"slow": 30 * time.Millisecond, "fast": time.Millisecond})
-	c := localPool(2, 1, 64, fleet.Options{Execute: exec})
-	defer c.Close()
-
-	// Round-robin partitioning: even submissions land on node 0's
-	// partition. Make those the slow ones, so node 1 runs dry and steals.
-	jobs := make([]fleet.Job, 20)
-	for i := range jobs {
-		app := "fast"
-		if i%2 == 0 {
-			app = "slow"
-		}
-		jobs[i] = fleet.Job{App: app, Kind: harness.Perf, Phase: fleet.Full}
-	}
-	res := fleet.RunSweep(context.Background(), c, jobs)
-	for i, r := range res {
-		if r.Err != nil {
-			t.Fatalf("job %d failed: %v", i, r.Err)
-		}
-		if r.Job.App != jobs[i].App {
-			t.Fatalf("row %d carries job %s; submission-order merge broken", i, r.Job.App)
-		}
-	}
-	if c.Steals(1) == 0 {
-		t.Fatal("node 1 never stole from node 0's backed-up partition")
-	}
-	st := c.Stats()
-	if st.Done != 20 || st.Failed != 0 {
-		t.Fatalf("stats = %+v, want 20 done", st)
-	}
-}
-
-// TestClusterBackpressureAndClose: a full cluster queue blocks Start until
-// ctx cancels; Close rejects further submissions and drains what is queued.
-func TestClusterBackpressureAndClose(t *testing.T) {
-	block := make(chan struct{})
-	exec := func(ctx context.Context, j fleet.Job) (*harness.Run, error) {
-		select {
-		case <-block:
-			return &harness.Run{}, nil
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	c := localPool(2, 1, 2, fleet.Options{Execute: exec})
-
-	var wg sync.WaitGroup
-	deliver := func(fleet.Result) { wg.Done() }
-	// 2 running + 2 queued fill the cluster.
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		if err := c.Start(context.Background(), fleet.Job{App: "a"}, nil, deliver); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	if err := c.Start(ctx, fleet.Job{App: "b"}, nil, nil); err != context.DeadlineExceeded {
-		t.Fatalf("Start on full queue = %v, want DeadlineExceeded", err)
-	}
-	close(block)
-	wg.Wait()
-	c.Close()
-	if err := c.Start(context.Background(), fleet.Job{App: "c"}, nil, nil); err != fleet.ErrClosed {
-		t.Fatalf("Start after Close = %v, want ErrClosed", err)
 	}
 }
 

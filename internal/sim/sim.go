@@ -11,7 +11,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"time"
@@ -64,67 +63,84 @@ func (t Time) String() string {
 	return (time.Duration(t) * time.Microsecond).String()
 }
 
-// Event is a scheduled callback. It is returned by the scheduling methods so
-// callers can cancel pending events.
+// Event is a handle to a scheduled callback, returned by the scheduling
+// methods so callers can cancel pending events. It is a small value: the
+// simulator recycles an event's record once the event fires or is
+// discarded, and the handle carries the sequence number it was scheduled
+// under so it can tell its own event from a later one that reuses the
+// record. Until the record is reused the handle reads as before; after
+// that it is stale: Cancel is a no-op and the accessors report zero values.
+// The zero Event is a stale handle.
 type Event struct {
+	rec *event
+	seq uint64
+}
+
+// event is the recycled record behind an Event handle.
+type event struct {
 	at     Time
 	seq    uint64
-	index  int // heap index; -1 once popped or cancelled
 	fn     func()
 	name   string
 	cancel bool
 }
 
+// live returns the handle's record, or nil once the record has been reused.
+func (h Event) live() *event {
+	if h.rec == nil || h.rec.seq != h.seq {
+		return nil
+	}
+	return h.rec
+}
+
 // At reports when the event is scheduled to fire.
-func (e *Event) At() Time { return e.at }
+func (h Event) At() Time {
+	if e := h.live(); e != nil {
+		return e.at
+	}
+	return 0
+}
 
 // Name reports the diagnostic label given at scheduling time.
-func (e *Event) Name() string { return e.name }
+func (h Event) Name() string {
+	if e := h.live(); e != nil {
+		return e.name
+	}
+	return ""
+}
 
 // Cancelled reports whether Cancel was called on the event.
-func (e *Event) Cancelled() bool { return e.cancel }
+func (h Event) Cancelled() bool {
+	e := h.live()
+	return e != nil && e.cancel
+}
 
 // Cancel prevents a pending event from firing. Cancelling an event that has
-// already fired is a no-op.
-func (e *Event) Cancel() { e.cancel = true }
-
-type eventQueue []*Event
-
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+// already fired, or through a stale handle, is a no-op.
+func (h Event) Cancel() {
+	if e := h.live(); e != nil {
+		e.cancel = true
 	}
-	return q[i].seq < q[j].seq
 }
 
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
+// entry is one heap slot. The ordering key is copied out of the record so
+// sifting compares without dereferencing.
+type entry struct {
+	at  Time
+	seq uint64
+	ev  *event
 }
 
-func (q *eventQueue) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*q)
-	*q = append(*q, e)
-}
-
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*q = old[:n-1]
-	return e
+// before orders entries by time, then by scheduling order (FIFO ties).
+func (a entry) before(b entry) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
 // Simulator owns the virtual clock and the pending event queue.
 type Simulator struct {
 	now     Time
-	queue   eventQueue
+	queue   []entry  // binary min-heap on (at, seq)
+	free    []*event // records of fired or discarded events, for reuse
 	seq     uint64
 	stopped bool
 	// Stats
@@ -149,18 +165,25 @@ func (s *Simulator) Fired() uint64 { return s.fired }
 
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
 // it always indicates a logic error in a discrete-event model.
-func (s *Simulator) At(t Time, name string, fn func()) *Event {
+func (s *Simulator) At(t Time, name string, fn func()) Event {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling %q at %v, before now (%v)", name, t, s.now))
 	}
-	e := &Event{at: t, seq: s.seq, fn: fn, name: name}
+	var e *event
+	if n := len(s.free); n > 0 {
+		e = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		e = new(event)
+	}
+	*e = event{at: t, seq: s.seq, fn: fn, name: name}
 	s.seq++
-	heap.Push(&s.queue, e)
-	return e
+	s.push(entry{at: t, seq: e.seq, ev: e})
+	return Event{rec: e, seq: e.seq}
 }
 
 // After schedules fn to run d after the current time. Negative d panics.
-func (s *Simulator) After(d Duration, name string, fn func()) *Event {
+func (s *Simulator) After(d Duration, name string, fn func()) Event {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v for %q", d, name))
 	}
@@ -169,7 +192,7 @@ func (s *Simulator) After(d Duration, name string, fn func()) *Event {
 
 // Immediately schedules fn at the current time, after all events already
 // scheduled for this instant.
-func (s *Simulator) Immediately(name string, fn func()) *Event {
+func (s *Simulator) Immediately(name string, fn func()) Event {
 	return s.At(s.now, name, fn)
 }
 
@@ -180,13 +203,16 @@ func (s *Simulator) Stop() { s.stopped = true }
 // It reports whether an event fired (false when the queue is empty).
 func (s *Simulator) Step() bool {
 	for len(s.queue) > 0 {
-		e := heap.Pop(&s.queue).(*Event)
+		e := s.pop()
 		if e.cancel {
+			s.recycle(e)
 			continue
 		}
+		fn := e.fn
 		s.now = e.at
 		s.fired++
-		e.fn()
+		s.recycle(e)
+		fn()
 		return true
 	}
 	return false
@@ -229,13 +255,68 @@ func (s *Simulator) NextEventAt() Time {
 	return e.at
 }
 
-func (s *Simulator) peek() *Event {
+// peek returns the next non-cancelled event, discarding cancelled ones at
+// the head of the queue.
+func (s *Simulator) peek() *event {
 	for len(s.queue) > 0 {
-		e := s.queue[0]
+		e := s.queue[0].ev
 		if !e.cancel {
 			return e
 		}
-		heap.Pop(&s.queue)
+		s.recycle(s.pop())
 	}
 	return nil
+}
+
+// recycle returns a popped record to the free list. Its key, name and
+// cancel flag stay readable through old handles until At reuses it.
+func (s *Simulator) recycle(e *event) {
+	e.fn = nil
+	s.free = append(s.free, e)
+}
+
+// push adds x to the heap, sifting it up past every later entry.
+func (s *Simulator) push(x entry) {
+	q := append(s.queue, x)
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !x.before(q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = x
+	s.queue = q
+}
+
+// pop removes and returns the earliest event. The queue must be non-empty.
+func (s *Simulator) pop() *event {
+	q := s.queue
+	top := q[0].ev
+	n := len(q) - 1
+	last := q[n]
+	q[n] = entry{}
+	q = q[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && q[r].before(q[c]) {
+				c = r
+			}
+			if !q[c].before(last) {
+				break
+			}
+			q[i] = q[c]
+			i = c
+		}
+		q[i] = last
+	}
+	s.queue = q
+	return top
 }
