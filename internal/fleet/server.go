@@ -465,11 +465,15 @@ func NewServer(m *Manager) *Server {
 			return
 		}
 		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.WriteHeader(http.StatusOK)
 		flusher, _ := w.(http.Flusher)
 		enc := json.NewEncoder(w)
 		// Per-job decision logs in submission order, each flushed as its job
-		// finishes. Failed jobs (and -no-obs runs) contribute no rows.
+		// finishes. Failed jobs (and -no-obs runs) contribute no rows. The
+		// 200 goes out with the first flush, so a timeline that fails to
+		// decode before then is answered with a 500; after it, the response
+		// is aborted so the client sees a truncated stream, never a clean
+		// one missing the job.
+		started := false
 		for i := 0; i < s.Len(); i++ {
 			res, err := s.Result(r.Context(), i)
 			if err != nil {
@@ -478,7 +482,16 @@ func NewServer(m *Manager) *Server {
 			if res.Err != nil || res.Run == nil {
 				continue
 			}
-			for _, d := range res.Run.Decisions {
+			tl, err := res.Run.Timeline()
+			if err != nil {
+				if started {
+					panic(http.ErrAbortHandler)
+				}
+				httpError(w, http.StatusInternalServerError, fmt.Errorf("job %d: %w", i, err))
+				return
+			}
+			started = true
+			for _, d := range tl.Decisions {
 				if err := enc.Encode(eventRow{Index: i, App: res.Job.App, Kind: res.Job.Kind, Decision: d}); err != nil {
 					return
 				}
@@ -534,11 +547,16 @@ func NewServer(m *Manager) *Server {
 			if res.Err != nil || res.Run == nil {
 				continue
 			}
+			tl, err := res.Run.Timeline()
+			if err != nil {
+				httpError(w, http.StatusInternalServerError, fmt.Errorf("job %d: %w", i, err))
+				return
+			}
 			procs = append(procs, ledger.Process{
 				PID:   i + 1,
 				Name:  fmt.Sprintf("%s/%s/%s", res.Job.App, res.Job.Kind, res.Job.Phase),
-				Spans: res.Run.Spans,
-				Marks: res.Run.ConfigMarks,
+				Spans: tl.Spans,
+				Marks: tl.ConfigMarks,
 			})
 		}
 		w.Header().Set("Content-Type", "application/json")

@@ -15,6 +15,7 @@ import (
 	"github.com/wattwiseweb/greenweb/internal/acmp"
 	"github.com/wattwiseweb/greenweb/internal/harness"
 	"github.com/wattwiseweb/greenweb/internal/ledger"
+	"github.com/wattwiseweb/greenweb/internal/obs"
 	"github.com/wattwiseweb/greenweb/internal/obs/trace"
 )
 
@@ -495,6 +496,49 @@ func TestServerEventsEndpoint(t *testing.T) {
 	resp404.Body.Close()
 	if resp404.StatusCode != http.StatusNotFound {
 		t.Errorf("GET unknown events = %d, want 404", resp404.StatusCode)
+	}
+}
+
+// TestTimelineDecodeFailureIsAnError: a run whose encoded timeline does
+// not decode is never skipped by /events or /trace. Before any row has
+// gone out the endpoint answers 500; once /events has streamed rows, the
+// response is aborted so the client sees a broken body.
+func TestTimelineDecodeFailureIsAnError(t *testing.T) {
+	good, err := harness.EncodeTimeline(&harness.Run{Decisions: []obs.Decision{{Span: 1, EndUS: 5}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec := func(ctx context.Context, j Job) (*harness.Run, error) {
+		run := &harness.Run{Frames: 1}
+		if j.App == "Google" {
+			run.SetEncodedTimeline([]byte(`{"spans":[`))
+		} else {
+			run.SetEncodedTimeline(good)
+		}
+		return run, nil
+	}
+	srv, _ := newTestServer(t, Options{Workers: 1, Execute: exec})
+
+	bad := postSweep(t, srv, `{"apps":["Google"],"kinds":["Perf"]}`)["id"].(string)
+	for _, path := range []string{"/events", "/trace"} {
+		code, body := getBody(t, srv.URL+"/v1/sweeps/"+bad+path)
+		if code != http.StatusInternalServerError || !strings.Contains(body, "timeline") {
+			t.Errorf("GET %s over an undecodable timeline = %d %q, want 500 naming the timeline", path, code, body)
+		}
+	}
+
+	mixed := postSweep(t, srv, `{"apps":["Todo","Google"],"kinds":["Perf"]}`)["id"].(string)
+	resp, err := http.Get(srv.URL + "/v1/sweeps/" + mixed + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"index":0`) {
+		t.Fatalf("GET /events = %d %q, want 200 streaming job 0", resp.StatusCode, body)
+	}
+	if err == nil {
+		t.Fatal("/events ended cleanly without job 1's undecodable timeline; want an aborted stream")
 	}
 }
 

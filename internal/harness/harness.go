@@ -159,7 +159,9 @@ type Run struct {
 	// production (zero on a serial run). Stage windows nest inside frame
 	// windows, so StageEnergy ≤ FrameEnergy always.
 	StageEnergy acmp.Joules
-	// Spans is the full attribution timeline, for trace export.
+	// Spans is the full attribution timeline, for trace export. Spans,
+	// ConfigMarks and Decisions are nil on a run received from another
+	// process; Timeline reads all three for either kind of run.
 	Spans []ledger.Span
 	// ConfigMarks is the configuration-change history, for trace export.
 	ConfigMarks []ledger.ConfigMark
@@ -170,6 +172,9 @@ type Run struct {
 	// context (obs.EnabledIn); everything else in Run is unaffected either
 	// way, which CI enforces byte-for-byte.
 	Decisions []obs.Decision
+	// encodedTimeline, when set, holds Spans, ConfigMarks and Decisions in
+	// EncodeTimeline form instead; read them through Timeline.
+	encodedTimeline []byte
 
 	// Fault-adversity observability, all zero on an unfaulted run: injected
 	// hardware faults the device absorbed (thermal trips, denied/delayed
@@ -484,7 +489,7 @@ func executeHTML(ctx context.Context, app *apps.App, html string, kind Kind, tra
 func violationsOf(c *metrics.Collector, start sim.Time) []float64 {
 	out := make([]float64, 0, len(c.Frames))
 	for _, f := range c.Frames {
-		if f.Frame.End >= start {
+		if f.End >= start {
 			out = append(out, f.Pct)
 		}
 	}

@@ -373,8 +373,9 @@ func Unescape(s string) string {
 	return b.String()
 }
 
+// escaper is built once: a strings.Replacer is safe for concurrent use and
+// costly to construct.
+var escaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
+
 // Escape encodes text for safe embedding in HTML content.
-func Escape(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-	return r.Replace(s)
-}
+func Escape(s string) string { return escaper.Replace(s) }

@@ -55,7 +55,8 @@ func Mean(xs []float64) float64 {
 // FrameQoS is one frame judged against the deadline of the annotated event
 // driving it.
 type FrameQoS struct {
-	Frame    browser.FrameResult
+	// End is the judged frame's completion time.
+	End      sim.Time
 	Type     qos.Type
 	Deadline sim.Duration
 	Measured sim.Duration
@@ -147,7 +148,7 @@ func (c *Collector) onFrame(fr *browser.FrameResult) {
 	}
 	deadline := c.scenario.Deadline(best.Target)
 	c.Frames = append(c.Frames, FrameQoS{
-		Frame:    *fr,
+		End:      fr.End,
 		Type:     best.Type,
 		Deadline: deadline,
 		Measured: measured,

@@ -130,7 +130,7 @@ func (s *session) unregister(id uint64) {
 
 // deliver answers a parked call; unknown ids (cancelled calls, a prior
 // session's stragglers) are dropped.
-func (s *session) deliver(id uint64, w *wireResult) {
+func (s *session) deliver(id uint64, w *wireResult, timeline []byte) {
 	s.mu.Lock()
 	ch, ok := s.calls[id]
 	job := s.jobs[id]
@@ -140,7 +140,7 @@ func (s *session) deliver(id uint64, w *wireResult) {
 	}
 	s.mu.Unlock()
 	if ok {
-		r := decodeResult(w, job)
+		r := decodeResult(w, timeline, job)
 		// Worker spans arrive on the worker's clock; rebase them into the
 		// server timeline with the handshake offset and stamp the node
 		// identity only this side knows.
@@ -432,7 +432,7 @@ func (n *RemoteNode) runSession(sess *session) error {
 			switch f.T {
 			case frameResult:
 				if f.Result != nil {
-					sess.deliver(f.ID, f.Result)
+					sess.deliver(f.ID, f.Result, f.Trailer)
 				}
 			case framePong:
 				select {

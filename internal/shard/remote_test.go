@@ -3,9 +3,13 @@ package shard
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -14,7 +18,9 @@ import (
 	"github.com/wattwiseweb/greenweb/internal/acmp"
 	"github.com/wattwiseweb/greenweb/internal/fleet"
 	"github.com/wattwiseweb/greenweb/internal/harness"
+	"github.com/wattwiseweb/greenweb/internal/ledger"
 	"github.com/wattwiseweb/greenweb/internal/obs"
+	"github.com/wattwiseweb/greenweb/internal/obs/trace"
 )
 
 // fastRemote is the test timing profile: suspicion and reconnection resolve
@@ -63,10 +69,20 @@ func TestRemoteSweepMatchesLocal(t *testing.T) {
 
 	workerPool := poolOpts
 	workerPool.Workers = 4
+	got := render(t, remotePool(t, workerPool), jobs)
+	if got != want {
+		t.Fatalf("remote sweep diverged from sequential output:\n--- got\n%s--- want\n%s", got, want)
+	}
+}
+
+// remotePool is a one-node fleet.Pool whose node is a loopback Worker with
+// the given pool template. Its heartbeat is lenient: full-trace cells
+// saturate the CPU (drastically so under -race), and the tests using it pin
+// codec parity, not failure timing — a starved heartbeat loop must not
+// break the session and force re-homes.
+func remotePool(t *testing.T, workerPool fleet.Options) *fleet.Pool {
+	t.Helper()
 	_, addr := startWorker(t, WorkerOptions{Pool: workerPool})
-	// Lenient heartbeat: full-trace cells saturate the CPU (drastically so
-	// under -race), and this test pins codec parity, not failure timing — a
-	// starved heartbeat loop must not break the session and force re-homes.
 	opts := fastRemote(addr)
 	opts.HeartbeatInterval = 200 * time.Millisecond
 	opts.HeartbeatTimeout = 5 * time.Second
@@ -75,9 +91,95 @@ func TestRemoteSweepMatchesLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := render(t, fleet.NewWithNodes([]fleet.Node{n}, 0), jobs)
-	if got != want {
-		t.Fatalf("remote sweep diverged from sequential output:\n--- got\n%s--- want\n%s", got, want)
+	return fleet.NewWithNodes([]fleet.Node{n}, 0)
+}
+
+// serveSweep posts body to a greensrv API over pool and returns the
+// deterministic results, the decision-event stream and the per-job ledger
+// trace, once every job has finished. It also checks the results path
+// left each run's timeline undecoded when decoded is false.
+func serveSweep(t *testing.T, pool *fleet.Pool, body string, decoded bool) map[string]string {
+	t.Helper()
+	defer pool.Close()
+	m := fleet.NewManager(context.Background(), pool)
+	m.SetTraceCollector(trace.NewCollector())
+	srv := httptest.NewServer(fleet.NewServer(m))
+	defer srv.Close()
+
+	resp, err := http.Post(srv.URL+"/v1/sweeps", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ack struct{ ID string }
+	err = json.NewDecoder(resp.Body).Decode(&ack)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("POST /v1/sweeps = %d, %v", resp.StatusCode, err)
+	}
+	get := func(path string) string {
+		resp, err := http.Get(srv.URL + "/v1/sweeps/" + ack.ID + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s = %d, %v", path, resp.StatusCode, err)
+		}
+		return string(b)
+	}
+	out := map[string]string{"/results": get("/results?deterministic=1")}
+
+	s, _ := m.Get(fleet.SweepID(ack.ID))
+	for i := 0; i < s.Len(); i++ {
+		res, err := s.Result(context.Background(), i)
+		if err != nil || res.Run == nil {
+			t.Fatalf("job %d: %v, %+v", i, err, res.Err)
+		}
+		if got := res.Run.Spans != nil || res.Run.Decisions != nil; got != decoded {
+			t.Fatalf("job %d: run carries decoded timeline = %v, want %v", i, got, decoded)
+		}
+		tl, err := res.Run.Timeline()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tl.Spans) == 0 || len(tl.Decisions) == 0 {
+			t.Fatalf("job %d: Timeline() = %d spans, %d decisions; want both non-empty", i, len(tl.Spans), len(tl.Decisions))
+		}
+	}
+	out["/events"] = get("/events")
+	out["/trace"] = get("/trace")
+	return out
+}
+
+// TestRemoteServerBytesMatchLocal: one sweep served through greensrv's HTTP
+// surface renders the same bytes whether its jobs ran on local nodes or on
+// a loopback worker — results, the decision-event stream and the per-job
+// ledger trace. The remote runs reach the coordinator with their timelines
+// still encoded; only the event and trace exports decode them.
+func TestRemoteServerBytesMatchLocal(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-trace sweep ×2 topologies")
+	}
+	const body = `{"apps":["Todo","MSN"],"kinds":["GreenWeb-I","Perf"],"phase":"full"}`
+	want := serveSweep(t, fleet.New(fleet.Options{Workers: 2}), body, true)
+	got := serveSweep(t, remotePool(t, fleet.Options{Workers: 2}), body, false)
+	// Every job must contribute to every body, or equal bytes prove nothing.
+	for i := 0; i < 4; i++ {
+		for path, row := range map[string]string{
+			"/results": fmt.Sprintf(`{"index":%d,`, i),
+			"/events":  fmt.Sprintf(`{"index":%d,`, i),
+			"/trace":   fmt.Sprintf(`"pid": %d,`, i+1),
+		} {
+			if !strings.Contains(want[path], row) {
+				t.Fatalf("local %s has no %s row:\n%.2000s", path, row, want[path])
+			}
+		}
+	}
+	for _, path := range []string{"/results", "/events", "/trace"} {
+		if got[path] != want[path] {
+			t.Errorf("remote %s diverged from local (%d vs %d bytes)", path, len(got[path]), len(want[path]))
+		}
 	}
 }
 
@@ -140,6 +242,75 @@ func TestKillMidSweepDeterminism(t *testing.T) {
 	}
 	if c.Rehomed(0) == 0 {
 		t.Fatal("no jobs were re-homed off the killed node")
+	}
+}
+
+// corruptingListener hands out connections that flip the last byte of the
+// first result frame any of them writes — the timeline trailer's final
+// byte — so the reader sees an intact envelope over a corrupt trailer.
+type corruptingListener struct {
+	net.Listener
+	armed atomic.Bool
+}
+
+func (l *corruptingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &corruptingConn{Conn: c, l: l}, nil
+}
+
+type corruptingConn struct {
+	net.Conn
+	l *corruptingListener
+}
+
+func (c *corruptingConn) Write(p []byte) (int, error) {
+	if len(p) > 8 && bytes.HasPrefix(p[8:], []byte(`{"t":"result"`)) && c.l.armed.CompareAndSwap(true, false) {
+		p = bytes.Clone(p)
+		p[len(p)-1] ^= 0xff
+	}
+	return c.Conn.Write(p)
+}
+
+// TestCorruptTrailerRehomes: a result whose trailer fails its checksum is
+// refused at the frame reader like a torn frame — the session breaks, the
+// job re-homes, and the sweep still renders the pristine bytes.
+func TestCorruptTrailerRehomes(t *testing.T) {
+	exec := func(ctx context.Context, j fleet.Job) (*harness.Run, error) {
+		return &harness.Run{Frames: len(j.App), Spans: []ledger.Span{{ID: 1, Name: j.App}}}, nil
+	}
+	jobs := make([]fleet.Job, 6)
+	for i := range jobs {
+		jobs[i] = fleet.Job{App: fmt.Sprintf("app-%d", i), Kind: harness.Perf, Phase: fleet.Full}
+	}
+	want := render(t, fleet.New(fleet.Options{Workers: 1, Execute: exec}), jobs)
+
+	w := NewWorker(WorkerOptions{Pool: fleet.Options{Workers: 1, Execute: exec}})
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := &corruptingListener{Listener: inner}
+	l.armed.Store(true)
+	go w.Serve(l)
+	t.Cleanup(w.Close)
+	n, err := NewRemoteNode(0, fastRemote(inner.Addr().String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := fleet.NewWithNodes([]fleet.Node{n}, 0)
+	got := render(t, c, jobs)
+	if got != want {
+		t.Fatalf("sweep over a corrupted trailer diverged:\n--- got\n%s--- want\n%s", got, want)
+	}
+	if l.armed.Load() {
+		t.Fatal("no result frame was corrupted; the test proved nothing")
+	}
+	if c.Rehomed(0) == 0 || n.Health().Reconnects == 0 {
+		t.Fatalf("rehomed=%d reconnects=%d; the corrupt frame should break the session and re-home its job",
+			c.Rehomed(0), n.Health().Reconnects)
 	}
 }
 

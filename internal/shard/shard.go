@@ -2,8 +2,10 @@
 // network. RemoteNode is a fleet.Node whose execution slots live in a
 // greennode worker process reached over TCP; Worker is that process's side,
 // executing shipped jobs on its own fleet.Pool. The two speak
-// length-prefixed JSON frames (proto.go, wire.go): a versioned hello/welcome
+// length-prefixed frames (proto.go, wire.go): a versioned hello/welcome
 // handshake, then job/result/ping/pong/cancel frames multiplexed by call id.
+// A result frame carries the run's timeline as a checksummed trailer that
+// the receiving side keeps encoded until an export asks for it.
 //
 // Scheduling — partitions, work stealing, re-homing jobs off a dead node —
 // is fleet.Pool's business; this package only maps transport failures onto

@@ -95,8 +95,8 @@ func fakeWorker(t *testing.T, welcome frame, gotJobs chan<- fleet.Job) string {
 						writeFrame(conn, frame{T: framePong, ID: f.ID})
 					case frameJob:
 						gotJobs <- *f.Job
-						writeFrame(conn, frame{T: frameResult, ID: f.ID,
-							Result: encodeResult(fleet.Result{Job: *f.Job, Worker: 0})})
+						res, _ := encodeResult(fleet.Result{Job: *f.Job, Worker: 0})
+						writeFrame(conn, frame{T: frameResult, ID: f.ID, Result: res})
 					}
 				}
 			}()

@@ -9,8 +9,6 @@ import (
 	"github.com/wattwiseweb/greenweb/internal/apps"
 	"github.com/wattwiseweb/greenweb/internal/fleet"
 	"github.com/wattwiseweb/greenweb/internal/harness"
-	"github.com/wattwiseweb/greenweb/internal/ledger"
-	"github.com/wattwiseweb/greenweb/internal/obs"
 	"github.com/wattwiseweb/greenweb/internal/obs/trace"
 	"github.com/wattwiseweb/greenweb/internal/sim"
 )
@@ -41,21 +39,14 @@ type wireResidency struct {
 	Dur    sim.Duration `json:"dur_us"`
 }
 
-// wireConfigMark mirrors ledger.ConfigMark, whose From/To fields are
-// deliberately excluded from its own JSON form.
-type wireConfigMark struct {
-	At          sim.Time `json:"at_us"`
-	FromCluster int      `json:"fc"`
-	FromMHz     int      `json:"fm"`
-	ToCluster   int      `json:"tc"`
-	ToMHz       int      `json:"tm"`
-}
-
-// wireRun carries every harness.Run field greensrv's result, event, and
-// trace endpoints read — the ResultRow scalars, the decision log, and the
-// ledger spans — plus the residency histogram. FrameResults (the raw
-// per-frame timeline) is deliberately not shipped: nothing behind the
-// fleet.Runner seam reads it, and it dominates payload size.
+// wireRun carries the harness.Run scalars greensrv's result rows read,
+// plus the residency histogram. The run's timeline — ledger spans, config
+// marks and decision log, which only the event and trace endpoints read —
+// travels separately as the result frame's trailer, which the receiving
+// side keeps encoded (harness.Run.Timeline decodes it on demand).
+// FrameResults (the raw per-frame timeline) is deliberately not shipped:
+// nothing behind the fleet.Runner seam reads it, and it dominates payload
+// size.
 type wireRun struct {
 	Kind harness.Kind `json:"kind"`
 
@@ -69,12 +60,9 @@ type wireRun struct {
 	TotalEnergy acmp.Joules  `json:"total_energy_j"`
 	LoadLatency sim.Duration `json:"load_latency_us"`
 
-	FrameEnergy acmp.Joules      `json:"frame_energy_j"`
-	IdleEnergy  acmp.Joules      `json:"idle_energy_j"`
-	EventEnergy acmp.Joules      `json:"event_energy_j"`
-	Spans       []ledger.Span    `json:"spans,omitempty"`
-	ConfigMarks []wireConfigMark `json:"config_marks,omitempty"`
-	Decisions   []obs.Decision   `json:"decisions,omitempty"`
+	FrameEnergy acmp.Joules `json:"frame_energy_j"`
+	IdleEnergy  acmp.Joules `json:"idle_energy_j"`
+	EventEnergy acmp.Joules `json:"event_energy_j"`
 
 	ThermalTrips  int         `json:"thermal_trips,omitempty"`
 	DVFSDenied    int         `json:"dvfs_denied,omitempty"`
@@ -87,8 +75,11 @@ type wireRun struct {
 	Recoveries    int         `json:"recoveries,omitempty"`
 }
 
-// encodeResult projects a fleet.Result onto the wire.
-func encodeResult(r fleet.Result) *wireResult {
+// encodeResult projects a fleet.Result onto the wire: the envelope's
+// result and, for a successful run, its encoded timeline for the trailer.
+// A timeline that cannot be encoded fails the job rather than the frame,
+// so the client still gets a terminal result.
+func encodeResult(r fleet.Result) (*wireResult, []byte) {
 	w := &wireResult{
 		Worker:      r.Worker,
 		LatencyNS:   int64(r.Latency),
@@ -101,15 +92,21 @@ func encodeResult(r fleet.Result) *wireResult {
 	if r.Err != nil {
 		w.Err = r.Err.Error()
 	}
-	if r.Run != nil {
-		w.Run = encodeRun(r.Run)
+	if r.Run == nil {
+		return w, nil
 	}
-	return w
+	timeline, err := harness.EncodeTimeline(r.Run)
+	if err != nil {
+		w.Err = err.Error()
+		return w, nil
+	}
+	w.Run = encodeRun(r.Run)
+	return w, timeline
 }
 
 // decodeResult reconstructs a fleet.Result, reattaching the client's copy
-// of the job.
-func decodeResult(w *wireResult, job fleet.Job) fleet.Result {
+// of the job. The run keeps timeline, the frame's trailer, undecoded.
+func decodeResult(w *wireResult, timeline []byte, job fleet.Job) fleet.Result {
 	r := fleet.Result{
 		Job:         job,
 		Worker:      w.Worker,
@@ -125,6 +122,7 @@ func decodeResult(w *wireResult, job fleet.Job) fleet.Result {
 	}
 	if w.Run != nil {
 		r.Run = decodeRun(w.Run, job)
+		r.Run.SetEncodedTimeline(timeline)
 	}
 	return r
 }
@@ -142,8 +140,6 @@ func encodeRun(run *harness.Run) *wireRun {
 		FrameEnergy:   run.FrameEnergy,
 		IdleEnergy:    run.IdleEnergy,
 		EventEnergy:   run.EventEnergy,
-		Spans:         run.Spans,
-		Decisions:     run.Decisions,
 		ThermalTrips:  run.ThermalTrips,
 		DVFSDenied:    run.DVFSDenied,
 		DVFSDelayed:   run.DVFSDelayed,
@@ -153,13 +149,6 @@ func encodeRun(run *harness.Run) *wireRun {
 		CapClamps:     run.CapClamps,
 		Degradations:  run.Degradations,
 		Recoveries:    run.Recoveries,
-	}
-	for _, m := range run.ConfigMarks {
-		w.ConfigMarks = append(w.ConfigMarks, wireConfigMark{
-			At:          m.At,
-			FromCluster: int(m.From.Cluster), FromMHz: m.From.MHz,
-			ToCluster: int(m.To.Cluster), ToMHz: m.To.MHz,
-		})
 	}
 	// Residency flattens to (config index, duration) pairs sorted by index,
 	// so the wire form of one run is itself deterministic.
@@ -183,8 +172,6 @@ func decodeRun(w *wireRun, job fleet.Job) *harness.Run {
 		FrameEnergy:   w.FrameEnergy,
 		IdleEnergy:    w.IdleEnergy,
 		EventEnergy:   w.EventEnergy,
-		Spans:         w.Spans,
-		Decisions:     w.Decisions,
 		ThermalTrips:  w.ThermalTrips,
 		DVFSDenied:    w.DVFSDenied,
 		DVFSDelayed:   w.DVFSDelayed,
@@ -197,13 +184,6 @@ func decodeRun(w *wireRun, job fleet.Job) *harness.Run {
 	}
 	if app, ok := apps.ByName(job.App); ok {
 		run.App = app
-	}
-	for _, m := range w.ConfigMarks {
-		run.ConfigMarks = append(run.ConfigMarks, ledger.ConfigMark{
-			At:   m.At,
-			From: acmp.Config{Cluster: acmp.Cluster(m.FromCluster), MHz: m.FromMHz},
-			To:   acmp.Config{Cluster: acmp.Cluster(m.ToCluster), MHz: m.ToMHz},
-		})
 	}
 	if len(w.Residency) > 0 {
 		run.Residency = make(map[acmp.Config]sim.Duration, len(w.Residency))

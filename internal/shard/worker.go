@@ -246,15 +246,16 @@ func (w *Worker) serveConn(ctx context.Context, conn net.Conn, name string) {
 					jobMu.Unlock()
 					cancel()
 					w.spanDrops.Add(int64(r.SpanDrops))
-					write(frame{T: frameResult, ID: id, Result: encodeResult(r)})
+					res, timeline := encodeResult(r)
+					write(frame{T: frameResult, ID: id, Result: res, Trailer: timeline})
 				})
 				if err != nil {
 					jobMu.Lock()
 					delete(cancels, id)
 					jobMu.Unlock()
 					cancel()
-					write(frame{T: frameResult, ID: id, Result: encodeResult(
-						fleet.Result{Job: job, Worker: -1, Err: err})})
+					res, _ := encodeResult(fleet.Result{Job: job, Worker: -1, Err: err})
+					write(frame{T: frameResult, ID: id, Result: res})
 				}
 			}()
 		}
