@@ -20,25 +20,20 @@
 // inline JSON object, or @file; a fixed -fault-seed makes the output
 // byte-reproducible. -trace honors -faults too, tracing one faulted run.
 //
-// Profiling and cache control (see EXPERIMENTS.md):
+// -stage-workers N runs every cell on the staged render pipeline with N
+// stage threads (0 or 1 = serial). -cpuprofile f / -memprofile f write
+// standard pprof profiles of the run for `go tool pprof` (see
+// EXPERIMENTS.md).
 //
-//   - -cpuprofile f / -memprofile f write standard pprof profiles of the
-//     run for `go tool pprof`;
-//   - -no-asset-cache disables the parse-once page asset cache, re-parsing
-//     every cell as earlier versions did. Output bytes are identical either
-//     way — the cache only skips redundant real work, never simulated cost.
-//   - -no-obs disables the observability layer (metrics counters and the
-//     per-frame decision recorder). Like the asset cache, it is out-of-band:
-//     report and sweep bytes are identical with obs on or off (CI diffs them).
-//   - -no-vm executes scripts on the tree-walking interpreter instead of the
-//     bytecode VM. The VM charges the identical op sequence, so report and
-//     sweep bytes are identical either way (CI diffs them too) — only
-//     wall-clock time differs.
+// The script engine, the asset cache and the decision recorder have no
+// switches here: they are out-of-band, and the report parity test in
+// internal/fleet renders the report and the fault sweep with the
+// tree-walking interpreter, a cold asset cache and decision recording off,
+// and requires the same bytes.
 //
 // Usage:
 //
 //	greenbench [-o report.txt] [-workers N] [-seq] [-stage-workers N]
-//	           [-no-asset-cache] [-no-obs] [-no-vm]
 //	greenbench [-cpuprofile cpu.pb] [-memprofile mem.pb] ...
 //	greenbench -faults default|JSON|@file [-fault-seed S] [-o rows.ndjson]
 //	greenbench -trace out.json [-trace-app NAME] [-trace-kind KIND]
@@ -60,9 +55,7 @@ import (
 	"github.com/wattwiseweb/greenweb/internal/faults"
 	"github.com/wattwiseweb/greenweb/internal/fleet"
 	"github.com/wattwiseweb/greenweb/internal/harness"
-	"github.com/wattwiseweb/greenweb/internal/js"
 	"github.com/wattwiseweb/greenweb/internal/ledger"
-	"github.com/wattwiseweb/greenweb/internal/obs"
 )
 
 func main() {
@@ -82,26 +75,14 @@ func run() int {
 	faultSeed := flag.Int64("fault-seed", 0, "override the fault spec's seed (0 = keep the spec's own)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to a file (go tool pprof)")
 	memProfile := flag.String("memprofile", "", "write a heap profile at exit to a file (go tool pprof)")
-	noAssetCache := flag.Bool("no-asset-cache", false, "disable the parse-once page asset cache (re-parse every cell; output must be identical)")
-	noObs := flag.Bool("no-obs", false, "disable metrics and decision recording (output must be identical)")
-	noVM := flag.Bool("no-vm", false, "execute scripts on the tree-walking interpreter instead of the bytecode VM (output must be identical)")
 	stageWorkers := flag.Int("stage-workers", 0, "render-pipeline stage threads per engine (0 or 1 = serial frame production)")
 	flag.Parse()
 
-	if *noAssetCache {
-		browser.SetAssetCache(false)
-	}
-	if *noObs {
-		obs.SetEnabled(false)
-	}
-	if *noVM {
-		js.SetVM(false)
-	}
 	if !harness.ValidStageWorkers(*stageWorkers) {
 		fmt.Fprintf(os.Stderr, "greenbench: -stage-workers %d out of range [0, %d]\n", *stageWorkers, browser.MaxStageWorkers)
 		return 1
 	}
-	browser.SetDefaultStageWorkers(*stageWorkers)
+	ctx := harness.WithStageWorkers(context.Background(), *stageWorkers)
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -137,7 +118,7 @@ func run() int {
 	}
 
 	if *trace != "" {
-		if err := writeTrace(*trace, *traceApp, *traceKind, spec); err != nil {
+		if err := writeTrace(ctx, *trace, *traceApp, *traceKind, spec); err != nil {
 			fmt.Fprintln(os.Stderr, "greenbench:", err)
 			return 1
 		}
@@ -156,18 +137,18 @@ func run() int {
 	}
 
 	if spec != nil {
-		if err := faultSweep(w, spec, *workers); err != nil {
+		if err := faultSweep(ctx, w, spec, *workers); err != nil {
 			fmt.Fprintln(os.Stderr, "greenbench:", err)
 			return 1
 		}
 		return 0
 	}
 
-	suite := harness.NewSuite()
+	suite := harness.NewSuiteContext(ctx)
 	if !*seq {
 		pool := fleet.New(fleet.Options{Workers: *workers})
 		defer pool.Close()
-		suite.SetPrefetcher(fleet.NewSuiteRunner(context.Background(), pool))
+		suite.SetPrefetcher(fleet.NewSuiteRunner(ctx, pool))
 	}
 	if err := harness.RenderAll(w, suite); err != nil {
 		fmt.Fprintln(os.Stderr, "greenbench:", err)
@@ -211,24 +192,17 @@ func parseFaultSpec(arg string, seed int64) (*faults.Spec, error) {
 	return spec, nil
 }
 
-// faultSweep fans every catalog app × headline governor across the fleet
-// with the fault spec active and streams the deterministic NDJSON merge.
-func faultSweep(w io.Writer, spec *faults.Spec, workers int) error {
-	kinds := []harness.Kind{harness.Perf, harness.GreenWebI, harness.GreenWebU}
-	var jobs []fleet.Job
-	for _, name := range apps.Names() {
-		for _, k := range kinds {
-			jobs = append(jobs, fleet.Job{App: name, Kind: k, Phase: fleet.Full, Faults: spec})
-		}
-	}
+// faultSweep fans the fault-sweep grid across the fleet and streams the
+// deterministic NDJSON merge.
+func faultSweep(ctx context.Context, w io.Writer, spec *faults.Spec, workers int) error {
 	pool := fleet.New(fleet.Options{Workers: workers, MaxAttempts: 3})
 	defer pool.Close()
-	return fleet.WriteResults(w, pool.RunSweep(context.Background(), jobs), true)
+	return fleet.WriteResults(w, pool.RunSweep(ctx, fleet.FaultSweepJobs(spec)), true)
 }
 
 // writeTrace runs one full-interaction cell (optionally faulted) and exports
 // its attribution timeline as Chrome trace-event JSON.
-func writeTrace(path, appName, kindName string, spec *faults.Spec) error {
+func writeTrace(ctx context.Context, path, appName, kindName string, spec *faults.Spec) error {
 	if appName == "" {
 		appName = apps.Names()[0]
 	}
@@ -240,7 +214,7 @@ func writeTrace(path, appName, kindName string, spec *faults.Spec) error {
 	if err != nil {
 		return err
 	}
-	run, err := harness.ExecuteFaulted(app, kind, app.Full, spec)
+	run, err := harness.ExecuteCell(ctx, harness.Cell{App: app, Kind: kind, Full: true, Faults: spec})
 	if err != nil {
 		return err
 	}

@@ -10,7 +10,7 @@
 //	greennode [-addr :9090] [-workers N] [-name NAME] [-job-timeout 2m]
 //	          [-max-attempts N] [-retry-base 50ms] [-retry-max 2s]
 //	          [-retry-seed S] [-http ADDR] [-log-level LEVEL]
-//	          [-no-obs] [-no-vm]
+//	          [-no-obs]
 //
 // With -http ADDR the worker serves its own health surface:
 //
@@ -19,10 +19,11 @@
 //	GET /healthz  liveness — 200 while the process accepts connections
 //	GET /readyz   readiness — 200 once the frame listener is bound
 //
-// Tracing: when a connecting greensrv negotiates tracing (and this process
+// Tracing: when a connecting greensrv negotiates tracing (and this worker
 // has obs enabled), executed jobs record spans that ship back piggybacked on
-// result frames. -no-obs opts the worker out — the handshake then omits
-// trace support and the server degrades gracefully.
+// result frames. -no-obs opts the worker out of decision recording and
+// tracing — the handshake then omits trace support and the server degrades
+// gracefully.
 //
 // On SIGINT/SIGTERM the worker stops accepting, closes its connections
 // (cancelling their in-flight jobs; the server re-homes them), and exits.
@@ -41,7 +42,6 @@ import (
 	"time"
 
 	"github.com/wattwiseweb/greenweb/internal/fleet"
-	"github.com/wattwiseweb/greenweb/internal/js"
 	"github.com/wattwiseweb/greenweb/internal/obs"
 	"github.com/wattwiseweb/greenweb/internal/obs/slog"
 	"github.com/wattwiseweb/greenweb/internal/shard"
@@ -59,7 +59,6 @@ func main() {
 	httpAddr := flag.String("http", "", "health/metrics listen address (empty = no health surface)")
 	logLevel := flag.String("log-level", "info", "log verbosity: debug, info, warn, error")
 	noObs := flag.Bool("no-obs", false, "disable decision recording and tracing (outputs must be byte-identical either way)")
-	noVM := flag.Bool("no-vm", false, "run scripts on the tree-walking interpreter instead of the bytecode VM (outputs must be byte-identical either way)")
 	flag.Parse()
 
 	log := slog.New("greennode")
@@ -78,19 +77,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, "greennode: -max-attempts must be >= 1")
 		os.Exit(1)
 	}
-	if *noObs {
-		obs.SetEnabled(false)
-	}
-	if *noVM {
-		js.SetVM(false)
-	}
 
 	n := *workers
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
 	w := shard.NewWorker(shard.WorkerOptions{
-		Name: *name,
+		Name:  *name,
+		NoObs: *noObs,
 		Pool: fleet.Options{
 			Workers: n, JobTimeout: *jobTimeout, MaxAttempts: *maxAttempts,
 			RetryBaseDelay: *retryBase, RetryMaxDelay: *retryMax, RetrySeed: *retrySeed,
@@ -103,7 +97,7 @@ func main() {
 		os.Exit(1)
 	}
 	log.Info("listening", "addr", l.Addr(), "workers", w.Workers(),
-		"pid", os.Getpid(), "obs", obs.Enabled())
+		"pid", os.Getpid(), "obs", !*noObs)
 
 	// The health surface is a separate listener so scraping and probing
 	// never compete with the frame protocol, and a worker behind a private

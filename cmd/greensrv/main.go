@@ -15,14 +15,19 @@
 //	         [-store DIR] [-store-compact BYTES]
 //	         [-admit-queue N] [-admit-rate R] [-admit-burst B]
 //	         [-read-header-timeout 10s] [-log-level LEVEL]
-//	         [-no-obs] [-no-trace] [-no-vm] [-stage-workers N]
-//	         [-drain-timeout 30s] [-obs-dump FILE]
+//	         [-no-obs] [-no-trace] [-drain-timeout 30s] [-obs-dump FILE]
 //
 // With -remote-nodes the nodes are greennode worker processes reached over
 // TCP instead of in-process slots (same scheduler, same queue): jobs ship
 // as length-prefixed JSON frames, heartbeats watch each link, and a node
 // that dies mid-sweep is evicted with its jobs re-homed onto the survivors
-// — sweep bytes are identical either way.
+// — sweep bytes are identical either way. Each greennode runs its own
+// execution slots and retry ladder, so -workers, -job-timeout,
+// -max-attempts, -retry-base and -retry-max are refused alongside
+// -remote-nodes; set them on the greennodes.
+//
+// A sweep picks its render pipeline per request ("stage_workers":[1,4]);
+// the field reaches local and remote nodes alike.
 //
 // API:
 //
@@ -60,10 +65,7 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/wattwiseweb/greenweb/internal/browser"
 	"github.com/wattwiseweb/greenweb/internal/fleet"
-	"github.com/wattwiseweb/greenweb/internal/harness"
-	"github.com/wattwiseweb/greenweb/internal/js"
 	"github.com/wattwiseweb/greenweb/internal/obs"
 	"github.com/wattwiseweb/greenweb/internal/obs/slog"
 	"github.com/wattwiseweb/greenweb/internal/shard"
@@ -90,8 +92,6 @@ func main() {
 	logLevel := flag.String("log-level", "info", "log verbosity: debug, info, warn, error")
 	noObs := flag.Bool("no-obs", false, "disable decision recording and tracing (outputs must be byte-identical either way)")
 	noTrace := flag.Bool("no-trace", false, "disable fleet-level distributed tracing only (sweep bytes are identical either way)")
-	noVM := flag.Bool("no-vm", false, "run scripts on the tree-walking interpreter instead of the bytecode VM (outputs must be byte-identical either way)")
-	stageWorkers := flag.Int("stage-workers", 0, "default render-pipeline stage threads per engine (0 or 1 = serial; sweeps may override per job)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "grace for in-flight sweeps on SIGINT/SIGTERM before cancellation")
 	obsDump := flag.String("obs-dump", "", "file for the final metrics snapshot on shutdown (default stderr)")
 	flag.Parse()
@@ -127,23 +127,19 @@ func main() {
 		fail("-admit-burst must be >= 1")
 	case *remoteNodes != "" && *nodes > 1:
 		fail("-remote-nodes and -nodes > 1 are mutually exclusive (the remote list fixes the node count)")
-	case !harness.ValidStageWorkers(*stageWorkers):
-		fail(fmt.Sprintf("-stage-workers must be in [0, %d]", browser.MaxStageWorkers))
+	case *remoteNodes != "":
+		explicit := map[string]bool{}
+		flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
+		if err := checkRemoteFlags(explicit); err != nil {
+			fail(err.Error())
+		}
 	}
 
 	// The sweep context is deliberately NOT the signal context: a signal
 	// must stop intake and start the drain, not kill every running sweep on
 	// the spot. Cancellation of stragglers happens inside Drain, after the
 	// grace period.
-	baseCtx := context.Background()
-	if *noObs {
-		obs.SetEnabled(false)
-		baseCtx = obs.ContextWithObs(baseCtx, false)
-	}
-	if *noVM {
-		js.SetVM(false)
-	}
-	browser.SetDefaultStageWorkers(*stageWorkers)
+	baseCtx := obs.ContextWithObs(context.Background(), !*noObs)
 
 	sigCtx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -239,6 +235,19 @@ func main() {
 		log.Error("serve failed", "err", err)
 		os.Exit(1)
 	}
+}
+
+// checkRemoteFlags refuses in-process node flags that were set explicitly
+// alongside -remote-nodes, where they would be silently dropped: a
+// greennode runs its own slots and retry ladder from its own flags of the
+// same names.
+func checkRemoteFlags(explicit map[string]bool) error {
+	for _, name := range []string{"workers", "job-timeout", "max-attempts", "retry-base", "retry-max"} {
+		if explicit[name] {
+			return fmt.Errorf("-%s configures in-process nodes and has no effect with -remote-nodes (set it on each greennode)", name)
+		}
+	}
+	return nil
 }
 
 // flushMetrics writes the final metrics snapshot (Prometheus text) so a

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -74,7 +75,8 @@ func main() {
 		fail("unknown trace kind %q", *traceKind)
 	}
 
-	run, err := harness.Execute(app, kind, trace)
+	// One cold run of the chosen trace, without the micro protocol's repeats.
+	run, err := harness.ExecuteCell(context.Background(), harness.Cell{App: app, Kind: kind, Full: *traceKind == "full", Repeats: 1})
 	if err != nil {
 		fail("%v", err)
 	}

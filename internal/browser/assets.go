@@ -2,7 +2,6 @@ package browser
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"github.com/wattwiseweb/greenweb/internal/css"
 	"github.com/wattwiseweb/greenweb/internal/dom"
@@ -12,8 +11,8 @@ import (
 )
 
 // obsScriptCompiles counts bytecode compiles performed while building page
-// assets. With the cache on this stays at one per distinct script; a climbing
-// rate means the cache is disabled or pages are being churned.
+// assets. This stays at one per distinct script; a climbing rate means pages
+// are being churned.
 var obsScriptCompiles = obs.Default().Counter("greenweb_assets_script_compiles_total",
 	"Scripts compiled to bytecode while building page assets")
 
@@ -32,7 +31,7 @@ var obsScriptCompiles = obs.Default().Counter("greenweb_assets_script_compiles_t
 // The *simulated* parse cost is charged exactly as before from the byte
 // counts (ParseCyclesPerByte), which do not depend on whether this process
 // re-parsed the text — reported energy and latency are byte-for-byte
-// identical with the cache on or off.
+// identical on a cold or a warm cache.
 type pageAssets struct {
 	tmpl      *dom.Document
 	sheets    []*css.Stylesheet
@@ -43,29 +42,16 @@ type pageAssets struct {
 
 	// compiled is the bytecode form of each program, built once alongside the
 	// parse. Compilation is pure (no interpreter state), so a shared compile
-	// is as safe as the shared AST; the engine falls back to the AST when the
-	// VM is disabled. nil where the parse failed.
+	// is as safe as the shared AST; a tree-walking engine reads the AST
+	// instead. nil where the parse failed.
 	compiled []*js.CompiledProgram
 }
 
-var (
-	assetCache   sync.Map // page source -> *pageAssets
-	assetCacheOn atomic.Bool
-)
-
-func init() { assetCacheOn.Store(true) }
-
-// SetAssetCache enables or disables the parse-once asset cache. Disabling
-// restores the pre-cache behavior — every LoadPage re-parses from source —
-// and is used by the determinism harness to prove cached and uncached runs
-// produce byte-identical reports.
-func SetAssetCache(enabled bool) { assetCacheOn.Store(enabled) }
-
-// AssetCacheEnabled reports whether LoadPage serves parses from the cache.
-func AssetCacheEnabled() bool { return assetCacheOn.Load() }
+var assetCache sync.Map // page source -> *pageAssets
 
 // ResetAssetCache drops every cached parse. Benchmarks use it to measure
-// the cold path.
+// the cold path, and the report parity test to prove a cold cache renders
+// the same bytes as a warm one.
 func ResetAssetCache() {
 	assetCache.Range(func(k, _ any) bool {
 		assetCache.Delete(k)
@@ -73,8 +59,8 @@ func ResetAssetCache() {
 	})
 }
 
-// buildAssets parses a page source into its assets, performing the work the
-// pre-cache LoadPage did inline.
+// buildAssets parses a page source into its assets and compiles each script
+// to bytecode.
 func buildAssets(src string) *pageAssets {
 	a := &pageAssets{tmpl: html.Parse(src)}
 	for _, styleSrc := range html.StyleSources(a.tmpl) {
@@ -88,7 +74,7 @@ func buildAssets(src string) *pageAssets {
 	a.compiled = make([]*js.CompiledProgram, len(a.scripts))
 	for i, s := range a.scripts {
 		a.programs[i], a.parseErrs[i] = js.Parse(s)
-		if a.programs[i] != nil && js.VMEnabled() {
+		if a.programs[i] != nil {
 			a.compiled[i] = js.Compile(a.programs[i])
 			obsScriptCompiles.Inc()
 		}

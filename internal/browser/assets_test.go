@@ -30,32 +30,20 @@ func runScenario(t *testing.T, page string) string {
 	return out
 }
 
-// TestAssetCacheEquivalence runs the same scenario cold, warm (cache hit),
-// and with the cache disabled, and requires identical observable results —
-// the cache must never change a single reported number.
+// TestAssetCacheEquivalence runs the same scenario cold and warm (cache
+// hit), and requires identical observable results — the cache must never
+// change a single reported number.
 func TestAssetCacheEquivalence(t *testing.T) {
 	ResetAssetCache()
-	defer SetAssetCache(true)
-
-	SetAssetCache(true)
 	cold := runScenario(t, basicPage)
 	warm := runScenario(t, basicPage)
-	SetAssetCache(false)
-	uncached := runScenario(t, basicPage)
-
 	if cold != warm {
 		t.Errorf("cold vs warm mismatch:\n%s\n---\n%s", cold, warm)
-	}
-	if cold != uncached {
-		t.Errorf("cached vs uncached mismatch:\n%s\n---\n%s", cold, uncached)
 	}
 }
 
 func TestAssetCacheHitFlag(t *testing.T) {
 	ResetAssetCache()
-	defer SetAssetCache(true)
-
-	SetAssetCache(true)
 	_, e1, _ := newTestEngine(t, basicPage)
 	if e1.LoadStats().AssetCacheHit {
 		t.Fatal("first load reported a cache hit")
@@ -70,17 +58,10 @@ func TestAssetCacheHitFlag(t *testing.T) {
 	if e3.LoadStats().AssetCacheHit {
 		t.Fatal("load after reset reported a cache hit")
 	}
-
-	SetAssetCache(false)
-	_, e4, _ := newTestEngine(t, basicPage)
-	if e4.LoadStats().AssetCacheHit {
-		t.Fatal("disabled cache reported a hit")
-	}
 }
 
 func TestDroppedCSSRulesCounted(t *testing.T) {
 	ResetAssetCache()
-	defer SetAssetCache(true)
 
 	page := `<html><head><style>
 		#box { width: 100px; }
@@ -88,8 +69,7 @@ func TestDroppedCSSRulesCounted(t *testing.T) {
 		p { color: blue; }
 	</style></head><body><div id="box">x</div></body></html>`
 
-	for _, cached := range []bool{true, false} {
-		SetAssetCache(cached)
+	for _, cached := range []bool{false, true} {
 		_, e, _ := newTestEngine(t, page)
 		if got := e.LoadStats().DroppedCSSRules; got != 1 {
 			t.Errorf("cached=%v: DroppedCSSRules = %d, want 1", cached, got)
@@ -101,8 +81,6 @@ func TestDroppedCSSRulesCounted(t *testing.T) {
 // engine must never leak into another engine running the same cached page.
 func TestCachedEngineIsolated(t *testing.T) {
 	ResetAssetCache()
-	defer SetAssetCache(true)
-	SetAssetCache(true)
 
 	s1, e1, _ := newTestEngine(t, basicPage)
 	s1.Run()

@@ -24,7 +24,7 @@ var (
 	obsAssetHits = obs.Default().Counter("greenweb_engine_asset_cache_hits_total",
 		"Page loads served from the parse-once asset cache")
 	obsAssetMisses = obs.Default().Counter("greenweb_engine_asset_cache_misses_total",
-		"Page loads that built assets fresh (cold cache or cache disabled)")
+		"Page loads that built assets fresh (cold cache)")
 	obsDroppedCSS = obs.Default().Counter("greenweb_engine_dropped_css_rules_total",
 		"Malformed CSS rules skipped by the tolerant parser across page loads")
 	obsVMScripts = obs.Default().Counter("greenweb_engine_vm_scripts_total",
@@ -79,9 +79,12 @@ type Engine struct {
 
 	doc    *dom.Document
 	interp *js.Interp
-	bind   *webapi.Bindings
-	sheets []*css.Stylesheet
-	anns   *css.AnnotationSet
+	// treeWalk runs page scripts on the tree-walking interpreter instead of
+	// the bytecode VM (SetTreeWalk).
+	treeWalk bool
+	bind     *webapi.Bindings
+	sheets   []*css.Stylesheet
+	anns     *css.AnnotationSet
 
 	browserThread    *acmp.Thread
 	mainThread       *acmp.Thread
@@ -215,7 +218,7 @@ type LoadStats struct {
 	// VMScripts and TreeWalkScripts count how many startup scripts ran on
 	// the bytecode VM versus the tree-walking interpreter. The split is pure
 	// observability — both engines charge identical ops — but makes a
-	// misconfigured -no-vm ablation visible in one glance.
+	// misconfigured tree-walker ablation visible in one glance.
 	VMScripts       int
 	TreeWalkScripts int
 }
@@ -239,6 +242,12 @@ func (e *Engine) Ledger() *ledger.Ledger { return e.led }
 // recorder is a no-op). Requires a ledger: decisions are projections of its
 // frame spans.
 func (e *Engine) SetTracer(r *obs.Recorder) { e.tracer = r }
+
+// SetTreeWalk runs the page's scripts on the tree-walking interpreter, the
+// reference the bytecode VM is checked against. Both charge the identical op
+// sequence, so outputs do not change; only wall-clock does. Call before
+// LoadPage.
+func (e *Engine) SetTreeWalk(on bool) { e.treeWalk = on }
 
 // Quiescent reports whether the engine has no work in flight: no queued or
 // running main-thread tasks, no frame in production, no pending animation
@@ -351,20 +360,11 @@ func (e *Engine) LoadPage(src string) (UID, error) {
 
 	// Parse-once asset cache: the document template, stylesheets, and
 	// script ASTs for a page source are built once per process and shared;
-	// this engine works on a private clone of the DOM. With the cache
-	// disabled the assets are built fresh right here, and the template is
-	// this engine's own — the pre-cache code path.
-	var assets *pageAssets
-	if AssetCacheEnabled() {
-		var hit bool
-		assets, hit = assetsFor(src)
-		e.doc = assets.tmpl.Clone()
-		e.loadStats.AssetCacheHit = hit
-	} else {
-		assets = buildAssets(src)
-		e.doc = assets.tmpl
-	}
-	if e.loadStats.AssetCacheHit {
+	// this engine works on a private clone of the DOM.
+	assets, hit := assetsFor(src)
+	e.doc = assets.tmpl.Clone()
+	e.loadStats.AssetCacheHit = hit
+	if hit {
 		obsAssetHits.Inc()
 	} else {
 		obsAssetMisses.Inc()
@@ -418,24 +418,24 @@ func (e *Engine) LoadPage(src string) (UID, error) {
 				e.curDispatch = &DispatchResult{}
 				var ops int64
 				// Run the cached parses. The VM executes the compiled unit
-				// cached next to the AST; the tree-walker (or a unit that
-				// was built while the VM was off) takes the AST path. Both
-				// charge the identical op sequence, so reported work does
-				// not depend on the engine choice — only wall-clock does.
+				// cached next to the AST; the tree-walker takes the AST.
+				// Both charge the identical op sequence, so reported work
+				// does not depend on the engine choice — only wall-clock
+				// does.
 				for i := range assets.scripts {
 					e.interp.ResetOps()
 					if prog := assets.programs[i]; prog == nil {
 						e.scriptErrs = append(e.scriptErrs, assets.parseErrs[i])
-					} else if cp := assets.compiled[i]; cp != nil && js.VMEnabled() {
-						e.loadStats.VMScripts++
-						obsVMScripts.Inc()
-						if err := e.interp.RunCompiled(cp); err != nil {
-							e.scriptErrs = append(e.scriptErrs, err)
-						}
-					} else {
+					} else if e.treeWalk {
 						e.loadStats.TreeWalkScripts++
 						obsTreeScripts.Inc()
 						if err := e.interp.Run(prog); err != nil {
+							e.scriptErrs = append(e.scriptErrs, err)
+						}
+					} else {
+						e.loadStats.VMScripts++
+						obsVMScripts.Inc()
+						if err := e.interp.RunCompiled(assets.compiled[i]); err != nil {
 							e.scriptErrs = append(e.scriptErrs, err)
 						}
 					}
@@ -486,10 +486,10 @@ func (e *Engine) installPrelude() {
 		return js.Undefined, nil
 	}))
 	var err error
-	if js.VMEnabled() {
-		err = e.interp.RunCompiled(preludeCompiled)
-	} else {
+	if e.treeWalk {
 		err = e.interp.Run(preludeProg)
+	} else {
+		err = e.interp.RunCompiled(preludeCompiled)
 	}
 	if err != nil {
 		panic("browser: prelude failed: " + err.Error())

@@ -2,7 +2,6 @@ package browser
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"github.com/wattwiseweb/greenweb/internal/acmp"
 	"github.com/wattwiseweb/greenweb/internal/obs"
@@ -86,28 +85,15 @@ type StageTiming struct {
 // Duration reports the phase window length.
 func (st StageTiming) Duration() sim.Duration { return st.End.Sub(st.Start) }
 
-// defaultStageWorkers is the process-wide stage-worker count new engines
-// inherit (harness runs consult it unless a per-run override is given).
-// 0 and 1 both mean serial frame production.
-var defaultStageWorkers atomic.Int32
-
 // MaxStageWorkers bounds the stage-worker count: shards beyond the per-node
 // work's parallelism only add idle-core power, and the flag surface should
 // reject typos, not allocate a thousand simulated cores.
 const MaxStageWorkers = 16
 
-// SetDefaultStageWorkers sets the process-wide stage-worker count (0 or 1 =
-// serial). Values outside [0, MaxStageWorkers] panic: callers validate flag
-// input before applying it.
-func SetDefaultStageWorkers(n int) {
-	if n < 0 || n > MaxStageWorkers {
-		panic(fmt.Sprintf("browser: stage workers %d out of range [0, %d]", n, MaxStageWorkers))
-	}
-	defaultStageWorkers.Store(int32(n))
-}
-
-// DefaultStageWorkers reports the process-wide stage-worker count.
-func DefaultStageWorkers() int { return int(defaultStageWorkers.Load()) }
+// DefaultStageWorkers reports 0: an engine is serial unless its run sets a
+// stage-worker count (harness.WithStageWorkers). Kept for callers that
+// predate per-run settings.
+func DefaultStageWorkers() int { return 0 }
 
 // Staged render observability. Pure output: simulation code never reads
 // these back, so they cannot perturb results.

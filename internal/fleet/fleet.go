@@ -66,9 +66,11 @@ type Job struct {
 	// Faults optionally runs the cell on a faulted device (thermal caps,
 	// DVFS transition failures, DAQ dropout). nil → pristine hardware.
 	Faults *faults.Spec `json:"faults,omitempty"`
-	// StageWorkers overrides the render pipeline's stage-thread count for
-	// this cell: 0 → the process default, 1 → force serial frame
-	// production, 2..browser.MaxStageWorkers → staged with that many cores.
+	// StageWorkers sets the render pipeline's stage-thread count for this
+	// cell: 0 → whatever the sweep's context says (serial by default),
+	// 1 → serial frame production, 2..browser.MaxStageWorkers → staged with
+	// that many cores. Unlike a context setting it crosses the wire to
+	// remote workers.
 	StageWorkers int `json:"stage_workers,omitempty"`
 	// Trace is the distributed-tracing context (sweep id, job index,
 	// attempt, parent span id), stamped by the manager on traced sweeps.
@@ -108,25 +110,31 @@ func (j Job) Validate() error {
 	return nil
 }
 
-// execute runs the cell on a fresh simulated device. Default repeats follow
-// the suite's protocol exactly (see harness.ExecuteCell), so a fleet result
-// is interchangeable with a sequentially computed one.
+// execute runs the cell on a fresh simulated device with harness.ExecuteCell,
+// so a fleet result is interchangeable with a sequentially computed one.
 func (j Job) execute(ctx context.Context) (*harness.Run, error) {
 	app, ok := apps.ByName(j.App)
 	if !ok {
 		return nil, fmt.Errorf("fleet: unknown app %q", j.App)
 	}
-	trace, repeats := app.Micro, harness.MicroRepeats
-	if j.Phase == Full {
-		trace, repeats = app.Full, 1
-	}
-	if j.Repeats > 0 {
-		repeats = j.Repeats
-	}
 	if j.StageWorkers > 0 {
 		ctx = harness.WithStageWorkers(ctx, j.StageWorkers)
 	}
-	return harness.ExecuteFaultedRepeatedContext(ctx, app, j.Kind, trace, repeats, j.Faults)
+	return harness.ExecuteCell(ctx, harness.Cell{
+		App: app, Kind: j.Kind, Full: j.Phase == Full, Repeats: j.Repeats, Faults: j.Faults,
+	})
+}
+
+// FaultSweepJobs is the fault sweep's grid: every catalog app under Perf,
+// GreenWeb-I, and GreenWeb-U, full interaction, with spec active.
+func FaultSweepJobs(spec *faults.Spec) []Job {
+	var jobs []Job
+	for _, name := range apps.Names() {
+		for _, k := range []harness.Kind{harness.Perf, harness.GreenWebI, harness.GreenWebU} {
+			jobs = append(jobs, Job{App: name, Kind: k, Phase: Full, Faults: spec})
+		}
+	}
+	return jobs
 }
 
 // State is a job's lifecycle position.

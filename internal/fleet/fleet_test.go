@@ -4,13 +4,17 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"os"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/wattwiseweb/greenweb/internal/apps"
+	"github.com/wattwiseweb/greenweb/internal/browser"
+	"github.com/wattwiseweb/greenweb/internal/faults"
 	"github.com/wattwiseweb/greenweb/internal/harness"
+	"github.com/wattwiseweb/greenweb/internal/obs"
 )
 
 // fakeExec returns an executor that signals started on entry and blocks
@@ -212,27 +216,103 @@ func TestParallelSweepMatchesSequentialByteForByte(t *testing.T) {
 	}
 }
 
-// TestFleetReportMatchesSequentialReport renders the complete evaluation
-// report twice — sequential suite vs fleet-prefetched suite — and requires
-// identical bytes, the whole-pipeline determinism guarantee cmd/greenbench
-// relies on.
+// TestFleetReportMatchesSequentialReport renders the evaluation report and
+// the default fault sweep under every run setting that must not move an
+// output byte: sequential and fleet-prefetched, a cold asset cache, the
+// tree-walking interpreter instead of the bytecode VM, and decision
+// recording off. Every report leg must equal the checked-in report, and
+// every fault-sweep leg the default leg. The configs run side by side as
+// parallel subtests, which works only because each one rides on its own
+// context.
 func TestFleetReportMatchesSequentialReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full report render in -short mode")
 	}
-	var seq strings.Builder
-	if err := harness.RenderAll(&seq, harness.NewSuite()); err != nil {
+	want, err := os.ReadFile("../../docs/greenbench-report.txt")
+	if err != nil {
 		t.Fatal(err)
 	}
-	p := New(Options{Workers: 4})
+	bg := context.Background()
+	checkReport := func(t *testing.T, got string) {
+		if got != string(want) {
+			t.Error("report differs from docs/greenbench-report.txt")
+		}
+	}
+	// The cold legs run alone, before anything can warm the cache again.
+	browser.ResetAssetCache()
+	t.Run("report/cold-seq", func(t *testing.T) { checkReport(t, renderReport(t, bg, true)) })
+	browser.ResetAssetCache()
+	coldFaults := renderFaultSweep(t, bg)
+
+	treeWalk := obs.Default().Counter("greenweb_engine_treewalk_scripts_total", "")
+	walked := treeWalk.Value()
+	configs := []struct {
+		name string
+		ctx  context.Context
+	}{
+		{"default", bg},
+		{"tree-walk", harness.WithTreeWalk(bg)},
+		{"obs-off", obs.ContextWithObs(bg, false)},
+	}
+	faultLegs := make([]string, len(configs))
+	t.Run("legs", func(t *testing.T) {
+		t.Run("report/seq", func(t *testing.T) {
+			t.Parallel()
+			checkReport(t, renderReport(t, bg, true))
+		})
+		for i, c := range configs {
+			t.Run("report/fleet/"+c.name, func(t *testing.T) {
+				t.Parallel()
+				checkReport(t, renderReport(t, c.ctx, false))
+			})
+			t.Run("faults/"+c.name, func(t *testing.T) {
+				t.Parallel()
+				faultLegs[i] = renderFaultSweep(t, c.ctx)
+			})
+		}
+	})
+	if treeWalk.Value() == walked {
+		t.Error("the tree-walk legs ran no script on the tree-walker")
+	}
+	if !strings.Contains(faultLegs[0], `"thermal_trips":`) {
+		t.Fatalf("default fault sweep injected no faults:\n%.500s", faultLegs[0])
+	}
+	for i, c := range configs {
+		if faultLegs[i] != faultLegs[0] {
+			t.Errorf("fault sweep with %s differs from the default", c.name)
+		}
+	}
+	if coldFaults != faultLegs[0] {
+		t.Error("fault sweep on a cold asset cache differs from the default")
+	}
+}
+
+// renderReport renders the full report under ctx, sequentially or through
+// a two-slot pool.
+func renderReport(t *testing.T, ctx context.Context, seq bool) string {
+	suite := harness.NewSuiteContext(ctx)
+	if !seq {
+		p := New(Options{Workers: 2})
+		defer p.Close()
+		suite.SetPrefetcher(NewSuiteRunner(ctx, p))
+	}
+	var b strings.Builder
+	if err := harness.RenderAll(&b, suite); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+// renderFaultSweep renders greenbench's default fault sweep
+// (-faults default -fault-seed 5) under ctx.
+func renderFaultSweep(t *testing.T, ctx context.Context) string {
+	p := New(Options{Workers: 2, MaxAttempts: 3})
 	defer p.Close()
-	var par strings.Builder
-	if err := harness.RenderAll(&par, NewSuite(context.Background(), p)); err != nil {
+	var b strings.Builder
+	if err := WriteResults(&b, p.RunSweep(ctx, FaultSweepJobs(faults.Default(5))), true); err != nil {
 		t.Fatal(err)
 	}
-	if seq.String() != par.String() {
-		t.Fatal("fleet-backed report differs from sequential report")
-	}
+	return b.String()
 }
 
 func TestStatsCounters(t *testing.T) {

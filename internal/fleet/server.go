@@ -32,7 +32,7 @@ type SweepRequest struct {
 	Faults *faults.Spec `json:"faults,omitempty"`
 	// StageWorkers adds a render-pipeline dimension to the grid: the sweep
 	// runs every (app, kind) cell once per listed stage-worker count
-	// (0 = process default, 1 = serial, 2.. = staged). Empty keeps the grid
+	// (0 or 1 = serial, 2.. = staged). Empty keeps the grid
 	// two-dimensional, exactly as before the dimension existed.
 	StageWorkers []int `json:"stage_workers,omitempty"`
 }

@@ -16,8 +16,8 @@ type SuiteRunner struct {
 	pool *Pool
 }
 
-// NewSuiteRunner binds the pool to ctx (cancelling ctx aborts any prefetch
-// in flight).
+// NewSuiteRunner binds the pool to ctx: its run settings reach every job
+// on an in-process node, and cancelling it aborts any prefetch in flight.
 func NewSuiteRunner(ctx context.Context, pool *Pool) *SuiteRunner {
 	if ctx == nil {
 		ctx = context.Background()
@@ -44,12 +44,4 @@ func (r *SuiteRunner) Prefetch(cells []harness.Cell) (map[harness.Cell]*harness.
 		out[cells[i]] = res.Run
 	}
 	return out, nil
-}
-
-// NewSuite returns a harness suite whose generators prefetch through the
-// pool — the drop-in parallel replacement for harness.NewSuite().
-func NewSuite(ctx context.Context, pool *Pool) *harness.Suite {
-	s := harness.NewSuite()
-	s.SetPrefetcher(NewSuiteRunner(ctx, pool))
-	return s
 }

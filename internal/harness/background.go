@@ -114,7 +114,7 @@ func ExperimentVariation(appName string, kind Kind, runs int, jitter sim.Duratio
 		// The repetition index seeds the jitter; Jitter mixes in the
 		// trace's intrinsic seed, so each app gets its own noise stream.
 		trace := app.Full.Jitter(int64(i)+1, jitter)
-		run, err := Execute(app, kind, trace)
+		run, _, err := executeSeeded(context.Background(), app, kind, trace, nil, nil)
 		if err != nil {
 			return nil, 0, err
 		}

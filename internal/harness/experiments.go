@@ -389,11 +389,11 @@ func (s *Suite) AblationPredictor() ([]PredictorRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		cold, trainedModels, err := executeSeeded(context.Background(), a, GreenWebI, a.Full, nil, nil)
+		cold, trainedModels, err := executeSeeded(s.ctx, a, GreenWebI, a.Full, nil, nil)
 		if err != nil {
 			return nil, err
 		}
-		trained, _, err := executeSeeded(context.Background(), a, GreenWebI, a.Full, trainedModels, nil)
+		trained, _, err := executeSeeded(s.ctx, a, GreenWebI, a.Full, trainedModels, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -490,7 +490,7 @@ func (s *Suite) ComparisonAutoGreen() ([]AutoGreenRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		auto, _, err := executeHTML(context.Background(), a, annotated, GreenWebI, a.Full, nil, nil)
+		auto, _, err := executeHTML(s.ctx, a, annotated, GreenWebI, a.Full, nil, nil)
 		if err != nil {
 			return nil, err
 		}

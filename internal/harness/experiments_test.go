@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"github.com/wattwiseweb/greenweb/internal/acmp"
@@ -435,11 +437,11 @@ func TestRunAccessors(t *testing.T) {
 func TestEndToEndDeterminism(t *testing.T) {
 	for _, kind := range []Kind{Perf, Interactive, GreenWebI} {
 		app, _ := apps.ByName("Goo.ne.jp")
-		a, err := Execute(app, kind, app.Full)
+		a, err := ExecuteCell(context.Background(), Cell{App: app, Kind: kind, Full: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Execute(app, kind, app.Full)
+		b, err := ExecuteCell(context.Background(), Cell{App: app, Kind: kind, Full: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -459,6 +461,40 @@ func TestEndToEndDeterminism(t *testing.T) {
 				t.Errorf("%s: frame %d differs: %+v vs %+v", kind, i, fa, fb)
 				break
 			}
+		}
+	}
+}
+
+// stubPrefetcher serves every prefetched cell a placeholder run without
+// executing it.
+type stubPrefetcher struct{}
+
+func (stubPrefetcher) Prefetch(cells []Cell) (map[Cell]*Run, error) {
+	out := make(map[Cell]*Run, len(cells))
+	for _, c := range cells {
+		out[c] = &Run{App: c.App, Kind: c.Kind}
+	}
+	return out, nil
+}
+
+// TestSuiteRunsUnderItsContext: every run a suite computes itself — lazy
+// cells and the generators' extra rows, not only prefetched cells — runs
+// under the context the suite was built with, so they see its settings.
+// A cancelled context makes each such run fail at its first chunk.
+func TestSuiteRunsUnderItsContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	app := apps.All()[0]
+	for name, compute := range map[string]func(*Suite) error{
+		"Full":                func(s *Suite) error { _, err := s.Full(app, Perf); return err },
+		"Micro":               func(s *Suite) error { _, err := s.Micro(app, Perf); return err },
+		"AblationPredictor":   func(s *Suite) error { _, err := s.AblationPredictor(); return err },
+		"ComparisonAutoGreen": func(s *Suite) error { _, err := s.ComparisonAutoGreen(); return err },
+	} {
+		s := NewSuiteContext(ctx)
+		s.SetPrefetcher(stubPrefetcher{})
+		if err := compute(s); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err = %v, want context.Canceled", name, err)
 		}
 	}
 }

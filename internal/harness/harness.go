@@ -61,7 +61,7 @@ const (
 	EBSKind Kind = "EBS"
 )
 
-// Kinds returns every governor kind Execute accepts, in evaluation order.
+// Kinds returns every governor kind ExecuteCell accepts, in evaluation order.
 func Kinds() []Kind {
 	return []Kind{
 		Perf, Interactive, Ondemand, Powersave,
@@ -72,7 +72,7 @@ func Kinds() []Kind {
 }
 
 // ParseKind resolves a kind name case-insensitively, so callers accepting
-// external input (the job server, CLI flags) can validate before Execute —
+// external input (the job server, CLI flags) can validate before ExecuteCell —
 // which panics on unknown kinds — ever runs.
 func ParseKind(name string) (Kind, error) {
 	for _, k := range Kinds() {
@@ -170,7 +170,7 @@ type Run struct {
 	// tracer as each frame span closed — one entry per frame span, in
 	// production order. Empty when observability is disabled for the run's
 	// context (obs.EnabledIn); everything else in Run is unaffected either
-	// way, which CI enforces byte-for-byte.
+	// way, which the report parity test enforces byte-for-byte.
 	Decisions []obs.Decision
 	// encodedTimeline, when set, holds Spans, ConfigMarks and Decisions in
 	// EncodeTimeline form instead; read them through Timeline.
@@ -241,65 +241,52 @@ func subtractResidency(after, before map[acmp.Config]sim.Duration) map[acmp.Conf
 	return out
 }
 
-// Execute runs one (app, governor, trace) combination cold and measures
-// it. A nil or empty trace measures the loading phase itself (the loading
-// microbenchmark).
-func Execute(app *apps.App, kind Kind, trace *replay.Trace) (*Run, error) {
-	return ExecuteContext(context.Background(), app, kind, trace)
+// Cell names one measured execution: an application under a governor,
+// replaying its full interaction or its microbenchmark trace, optionally on
+// a faulted device. It is everything that decides what is measured; how the
+// run executes (stage workers, script engine, decision recording) rides on
+// the context instead.
+type Cell struct {
+	App  *apps.App
+	Kind Kind
+	Full bool
+	// Repeats overrides the repetition count: 0 → the phase's protocol
+	// (micro: MicroRepeats, full: 1).
+	Repeats int
+	// Faults runs the cell on a faulted device (thermal throttling, DVFS
+	// transition failures, DAQ dropout) with a fault pattern seeded by
+	// Faults.Seed mixed with the trace's intrinsic seed, so each cell's
+	// faults are stable across repetitions, machines, and fleet worker
+	// counts. nil → pristine hardware.
+	Faults *faults.Spec
 }
 
-// ExecuteContext is Execute with cancellation: the simulation is abandoned
-// at the next scheduling chunk once ctx is done, and the ctx error is
-// returned wrapped (errors.Is-able against context.Canceled /
-// DeadlineExceeded). Fleet workers use this for per-job timeouts.
-func ExecuteContext(ctx context.Context, app *apps.App, kind Kind, trace *replay.Trace) (*Run, error) {
-	run, _, err := executeSeeded(ctx, app, kind, trace, nil, nil)
-	return run, err
-}
-
-// ExecuteFaulted is Execute on a faulted device: spec's adversities (thermal
-// throttling, DVFS transition failures, DAQ dropout) are injected with a
-// fault pattern seeded by spec.Seed mixed with the trace's intrinsic seed,
-// so each cell's faults are stable across repetitions, machines, and fleet
-// worker counts. A nil or empty spec degenerates to Execute exactly.
-func ExecuteFaulted(app *apps.App, kind Kind, trace *replay.Trace, spec *faults.Spec) (*Run, error) {
-	return ExecuteFaultedContext(context.Background(), app, kind, trace, spec)
-}
-
-// ExecuteFaultedContext is ExecuteFaulted with cancellation.
-func ExecuteFaultedContext(ctx context.Context, app *apps.App, kind Kind, trace *replay.Trace, spec *faults.Spec) (*Run, error) {
-	run, _, err := executeSeeded(ctx, app, kind, trace, nil, spec)
-	return run, err
-}
-
-// ExecuteRepeated reproduces the paper's measurement protocol ("we repeat
-// every experiment 3 times ... the results we report are the median"): the
-// experiment runs n times on a runtime whose per-class models persist
-// across repetitions, as they do on a device. Energy is the median run's;
-// violations are averaged across repetitions, so the profiling runs'
-// violations (the paper's MSN/LZMA-JS/BBC story) remain visible.
-func ExecuteRepeated(app *apps.App, kind Kind, trace *replay.Trace, n int) (*Run, error) {
-	return ExecuteRepeatedContext(context.Background(), app, kind, trace, n)
-}
-
-// ExecuteRepeatedContext is ExecuteRepeated with cancellation (see
-// ExecuteContext).
-func ExecuteRepeatedContext(ctx context.Context, app *apps.App, kind Kind, trace *replay.Trace, n int) (*Run, error) {
-	return ExecuteFaultedRepeatedContext(ctx, app, kind, trace, n, nil)
-}
-
-// ExecuteFaultedRepeatedContext is ExecuteRepeatedContext on a faulted
-// device (see ExecuteFaulted). Every repetition replays the identical fault
-// pattern: the injector is a pure function of (spec seed, trace seed,
-// virtual time), and each repetition restarts virtual time.
-func ExecuteFaultedRepeatedContext(ctx context.Context, app *apps.App, kind Kind, trace *replay.Trace, n int, spec *faults.Spec) (*Run, error) {
-	if n < 1 {
-		n = 1
+// ExecuteCell runs the cell cold and measures it, following the paper's
+// measurement protocol ("we repeat every experiment 3 times ... the results
+// we report are the median"): the experiment runs Repeats times on a
+// runtime whose per-class models persist across repetitions, as they do on
+// a device. Energy is the median run's; violations are averaged across
+// repetitions, so the profiling runs' violations (the paper's
+// MSN/LZMA-JS/BBC story) remain visible. Every repetition replays the
+// identical fault pattern: the injector is a pure function of (spec seed,
+// trace seed, virtual time), and each repetition restarts virtual time.
+//
+// The simulation is abandoned at the next scheduling chunk once ctx is
+// done, and the ctx error is returned wrapped (errors.Is-able against
+// context.Canceled / DeadlineExceeded). Fleet workers and the suite both
+// call this, so a prefetched run is bit-identical to a sequential one.
+func ExecuteCell(ctx context.Context, c Cell) (*Run, error) {
+	trace, n := c.App.Micro, MicroRepeats
+	if c.Full {
+		trace, n = c.App.Full, 1
+	}
+	if c.Repeats > 0 {
+		n = c.Repeats
 	}
 	var runs []*Run
 	var models map[string]*core.Model
 	for i := 0; i < n; i++ {
-		run, trained, err := executeSeeded(ctx, app, kind, trace, models, spec)
+		run, trained, err := executeSeeded(ctx, c.App, c.Kind, trace, models, c.Faults)
 		if err != nil {
 			return nil, err
 		}
@@ -349,18 +336,16 @@ func executeHTML(ctx context.Context, app *apps.App, html string, kind Kind, tra
 	}
 	e := browser.New(s, cpu, nil)
 	// Stage-worker configuration must precede LoadPage (stage threads feed
-	// the idle-power model): a per-run context override wins, else the
-	// process-wide default (CLI flags). Zero/one leaves the engine serial.
-	if n := StageWorkersIn(ctx); n > 0 {
-		e.SetStageWorkers(n)
-	} else if n := browser.DefaultStageWorkers(); n > 0 {
+	// the idle-power model). Zero/one leaves the engine serial.
+	if n := stageWorkersIn(ctx); n > 0 {
 		e.SetStageWorkers(n)
 	}
+	e.SetTreeWalk(treeWalkIn(ctx))
 	led := ledger.New(cpu)
 	e.SetLedger(led)
 	// Decision-level tracing rides the ledger out-of-band: a nil recorder
 	// costs one pointer compare per frame, a live one copies the already-
-	// closed span. Gated per context so greensrv/greenbench -no-obs runs
+	// closed span. Gated per context so greensrv/greennode -no-obs runs
 	// skip even that.
 	var rec *obs.Recorder
 	if obs.EnabledIn(ctx) {
@@ -497,35 +482,26 @@ func violationsOf(c *metrics.Collector, start sim.Time) []float64 {
 }
 
 // Suite memoizes runs so the figure generators can share them (Fig. 10a/b/c,
-// 11, and 12 all consume the same full-interaction executions).
+// 11, and 12 all consume the same full-interaction executions). Every run it
+// computes itself, lazily or for a generator's extra rows, executes under the
+// context it was built with.
 type Suite struct {
+	ctx   context.Context
 	micro map[string]*Run
 	full  map[string]*Run
 	pre   Prefetcher
 }
 
-// NewSuite returns an empty result cache.
-func NewSuite() *Suite {
-	return &Suite{micro: make(map[string]*Run), full: make(map[string]*Run)}
-}
+// NewSuite returns an empty result cache whose runs use the default
+// settings.
+func NewSuite() *Suite { return NewSuiteContext(context.Background()) }
 
-// Cell names one memoizable suite execution: an application under a
-// governor, either the full interaction or the repeated microbenchmark.
-type Cell struct {
-	App  *apps.App
-	Kind Kind
-	Full bool
-}
-
-// ExecuteCell runs the cell exactly as the suite's lazy path would: full
-// cells are single cold runs; micro cells follow the paper's repeated-
-// measurement protocol. Fleet workers call this, so a prefetched run is
-// bit-identical to the one a sequential Suite would have computed.
-func ExecuteCell(ctx context.Context, c Cell) (*Run, error) {
-	if c.Full {
-		return ExecuteContext(ctx, c.App, c.Kind, c.App.Full)
-	}
-	return ExecuteRepeatedContext(ctx, c.App, c.Kind, c.App.Micro, MicroRepeats)
+// NewSuiteContext returns an empty result cache whose runs execute under
+// ctx, so its settings (WithStageWorkers, WithTreeWalk, obs.ContextWithObs)
+// reach every run, and cancelling ctx abandons them. A prefetcher must be
+// bound to the same settings.
+func NewSuiteContext(ctx context.Context) *Suite {
+	return &Suite{ctx: ctx, micro: make(map[string]*Run), full: make(map[string]*Run)}
 }
 
 // Prefetcher bulk-computes cells (typically concurrently, via the fleet)
@@ -597,7 +573,7 @@ func (s *Suite) Micro(app *apps.App, kind Kind) (*Run, error) {
 	if r, ok := s.micro[k]; ok {
 		return r, nil
 	}
-	r, err := ExecuteCell(context.Background(), Cell{App: app, Kind: kind})
+	r, err := ExecuteCell(s.ctx, Cell{App: app, Kind: kind})
 	if err != nil {
 		return nil, err
 	}
@@ -611,7 +587,7 @@ func (s *Suite) Full(app *apps.App, kind Kind) (*Run, error) {
 	if r, ok := s.full[k]; ok {
 		return r, nil
 	}
-	r, err := ExecuteCell(context.Background(), Cell{App: app, Kind: kind, Full: true})
+	r, err := ExecuteCell(s.ctx, Cell{App: app, Kind: kind, Full: true})
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
@@ -26,7 +27,7 @@ func TestLedgerConservationFullSweep(t *testing.T) {
 			app, kind := app, kind
 			t.Run(app.Name+"/"+string(kind), func(t *testing.T) {
 				t.Parallel()
-				run, err := Execute(app, kind, app.Full)
+				run, err := ExecuteCell(context.Background(), Cell{App: app, Kind: kind, Full: true})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -80,7 +81,7 @@ func TestLedgerConservationFullSweep(t *testing.T) {
 // serve).
 func TestRunTraceExport(t *testing.T) {
 	app := apps.All()[0]
-	run, err := Execute(app, GreenWebU, app.Full)
+	run, err := ExecuteCell(context.Background(), Cell{App: app, Kind: GreenWebU, Full: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +132,7 @@ func TestRunTraceExport(t *testing.T) {
 // annotations on at least one frame.
 func TestGreenWebRunAnnotatesSpans(t *testing.T) {
 	app := apps.All()[0]
-	run, err := Execute(app, GreenWebU, app.Full)
+	run, err := ExecuteCell(context.Background(), Cell{App: app, Kind: GreenWebU, Full: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestGreenWebRunAnnotatesSpans(t *testing.T) {
 // /trace endpoint must keep emitting the same document byte for byte.
 func TestRunTraceBytesPinned(t *testing.T) {
 	app := apps.All()[0]
-	run, err := Execute(app, GreenWebU, app.Full)
+	run, err := ExecuteCell(context.Background(), Cell{App: app, Kind: GreenWebU, Full: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func TestDecisionEnergyMatchesLedger(t *testing.T) {
 			if !ok {
 				t.Fatal("Todo app missing")
 			}
-			run, err := Execute(app, kind, app.Full)
+			run, err := ExecuteCell(context.Background(), Cell{App: app, Kind: kind, Full: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -53,11 +53,11 @@ func TestObsDisabledIsOutOfBand(t *testing.T) {
 	if !ok {
 		t.Fatal("Todo app missing")
 	}
-	on, err := ExecuteContext(context.Background(), app, GreenWebU, app.Full)
+	on, err := ExecuteCell(context.Background(), Cell{App: app, Kind: GreenWebU, Full: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	off, err := ExecuteContext(obs.ContextWithObs(context.Background(), false), app, GreenWebU, app.Full)
+	off, err := ExecuteCell(obs.ContextWithObs(context.Background(), false), Cell{App: app, Kind: GreenWebU, Full: true})
 	if err != nil {
 		t.Fatal(err)
 	}

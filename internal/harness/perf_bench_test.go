@@ -6,7 +6,6 @@ import (
 
 	"github.com/wattwiseweb/greenweb/internal/apps"
 	"github.com/wattwiseweb/greenweb/internal/browser"
-	"github.com/wattwiseweb/greenweb/internal/js"
 	"github.com/wattwiseweb/greenweb/internal/qos"
 	"github.com/wattwiseweb/greenweb/internal/replay"
 	"github.com/wattwiseweb/greenweb/internal/sim"
@@ -78,7 +77,7 @@ func BenchmarkExecuteCellWarmSuite(b *testing.B) {
 // hashing kernel in plain loops — rather than the catalog's work() native
 // stand-in (which charges ops without interpreting anything). This is the
 // workload the bytecode VM targets: interpreter time dominates the cell, so
-// the VM vs -no-vm ablation below measures engine speed rather than DOM
+// the VM vs tree-walker ablation below measures engine speed rather than DOM
 // clone or cascade overhead. BENCH_PR7.json tracks the pair.
 var scriptHeavyApp = func() *apps.App {
 	const script = `
@@ -133,30 +132,27 @@ var scriptHeavyApp = func() *apps.App {
 }()
 
 func benchVMAblation(b *testing.B, vm bool) {
-	js.SetVM(vm)
-	defer js.SetVM(true)
-	// Drop assets built under the other engine setting: compiled units are
-	// only attached while the VM is on, and the cache key is page source.
-	browser.ResetAssetCache()
+	ctx := context.Background()
+	if !vm {
+		ctx = WithTreeWalk(ctx)
+	}
 	cell := Cell{App: scriptHeavyApp, Kind: GreenWebU, Full: true}
-	if _, err := ExecuteCell(context.Background(), cell); err != nil {
+	if _, err := ExecuteCell(ctx, cell); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ExecuteCell(context.Background(), cell); err != nil {
+		if _, err := ExecuteCell(ctx, cell); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.StopTimer()
-	browser.ResetAssetCache()
 }
 
 // BenchmarkExecuteCellWarmScriptVM / ...NoVM are the PR 7 ablation pair: the
 // same script-dominated cell on the bytecode VM and on the tree-walking
-// interpreter. Their outputs are byte-identical (CI diffs the full report
-// both ways); only wall-clock differs.
+// interpreter (WithTreeWalk). Their outputs are byte-identical (the report
+// parity test renders the full report both ways); only wall-clock differs.
 func BenchmarkExecuteCellWarmScriptVM(b *testing.B)   { benchVMAblation(b, true) }
 func BenchmarkExecuteCellWarmScriptNoVM(b *testing.B) { benchVMAblation(b, false) }
 

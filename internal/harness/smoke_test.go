@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -13,7 +14,7 @@ func TestSmokeSingleApp(t *testing.T) {
 	app, _ := apps.ByName("MSN")
 	for _, kind := range []Kind{Perf, Interactive, GreenWebI, GreenWebU} {
 		start := time.Now()
-		r, err := Execute(app, kind, app.Full)
+		r, err := ExecuteCell(context.Background(), Cell{App: app, Kind: kind, Full: true})
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
@@ -33,7 +34,7 @@ func TestSmokeSingleApp(t *testing.T) {
 func BenchmarkFullInteractionMSN(b *testing.B) {
 	app, _ := apps.ByName("MSN")
 	for i := 0; i < b.N; i++ {
-		if _, err := Execute(app, GreenWebI, app.Full); err != nil {
+		if _, err := ExecuteCell(context.Background(), Cell{App: app, Kind: GreenWebI, Full: true}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -63,11 +63,11 @@ func meanInteractionLatencyMS(r *Run) float64 {
 // latency at least 1.3× against the serial pipeline, same governor.
 func TestStagedRenderCutsFrameLatency(t *testing.T) {
 	app := spaCell(t).App
-	serial, err := ExecuteContext(WithStageWorkers(context.Background(), 1), app, GreenWebI, app.Micro)
+	serial, err := ExecuteCell(WithStageWorkers(context.Background(), 1), Cell{App: app, Kind: GreenWebI, Repeats: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	staged, err := ExecuteContext(WithStageWorkers(context.Background(), 4), app, GreenWebI, app.Micro)
+	staged, err := ExecuteCell(WithStageWorkers(context.Background(), 4), Cell{App: app, Kind: GreenWebI, Repeats: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

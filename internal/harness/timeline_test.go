@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -13,7 +14,7 @@ import (
 // the receiving run's own timeline fields stay nil.
 func TestTimelineRoundTrip(t *testing.T) {
 	app := apps.All()[0]
-	run, err := Execute(app, GreenWebU, app.Full)
+	run, err := ExecuteCell(context.Background(), Cell{App: app, Kind: GreenWebU, Full: true})
 	if err != nil {
 		t.Fatal(err)
 	}

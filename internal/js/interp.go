@@ -96,24 +96,22 @@ func rtErr(n Node, format string, args ...any) error {
 	return &RuntimeError{Line: line, Col: col, Msg: fmt.Sprintf(format, args...)}
 }
 
-// Run executes a program in the global scope. When the VM is enabled the
-// program is compiled to bytecode first; op accounting is identical either
-// way.
+// Run executes a program in the global scope on the tree-walking
+// interpreter, the reference the bytecode VM (RunCompiled) is checked
+// against. Op accounting is identical on both.
 func (in *Interp) Run(prog *Program) error {
-	if VMEnabled() {
-		return in.RunCompiled(Compile(prog))
-	}
 	_, _, err := in.execBlock(prog.Body, in.Globals)
 	return err
 }
 
-// RunSource parses and executes source text in the global scope.
+// RunSource parses source text and executes it in the global scope on the
+// bytecode VM.
 func (in *Interp) RunSource(src string) error {
 	prog, err := Parse(src)
 	if err != nil {
 		return err
 	}
-	return in.Run(prog)
+	return in.RunCompiled(Compile(prog))
 }
 
 // CallFunction invokes a function value with the given this and arguments.

@@ -87,7 +87,7 @@ func runEngine(src string, useVM bool, opLimit int64) string {
 	if useVM {
 		runErr = in.RunCompiled(Compile(prog))
 	} else {
-		_, _, runErr = in.execBlock(prog.Body, in.Globals)
+		runErr = in.Run(prog)
 	}
 	return dumpState(in, runErr)
 }
@@ -256,23 +256,22 @@ func TestVMCallFunctionDispatch(t *testing.T) {
 	}
 }
 
-// TestVMToggle checks the -no-vm escape hatch routing in Run.
+// TestVMToggle checks engine routing: RunSource compiles to bytecode, Run
+// walks the tree.
 func TestVMToggle(t *testing.T) {
-	defer SetVM(true)
-	check := func(wantVM bool) {
+	const src = `function f() {} var g = function() {};`
+	check := func(wantVM bool, run func(*Interp) error) {
 		in := NewInterp()
-		if err := in.RunSource(`function f() {} var g = function() {};`); err != nil {
+		if err := run(in); err != nil {
 			t.Fatal(err)
 		}
 		f, _ := in.Globals.Lookup("f")
 		if got := f.Object().Fn.Code != nil; got != wantVM {
-			t.Fatalf("VMEnabled=%v but function compiled=%v", wantVM, got)
+			t.Fatalf("want VM=%v but function compiled=%v", wantVM, got)
 		}
 	}
-	SetVM(true)
-	check(true)
-	SetVM(false)
-	check(false)
+	check(true, func(in *Interp) error { return in.RunSource(src) })
+	check(false, func(in *Interp) error { return in.Run(MustParse(src)) })
 }
 
 // ---- satellite regressions: cost-model bugfixes ----
@@ -455,12 +454,12 @@ func TestCompileJumpTargets(t *testing.T) {
 // conservative: any textual mention keeps the array.
 func TestCompileNeedArgs(t *testing.T) {
 	cases := map[string]bool{
-		`function f() { return 1; }`:                                      false,
-		`function f() { return arguments.length; }`:                       true,
-		`function f() { return function() { return arguments[0]; }; }`:    true,
-		`function f() { if (0) { var x = arguments; } }`:                  true,
-		`function f(a) { return a; }`:                                     false,
-		`function f() { for (var k in arguments) {} }`:                    true,
+		`function f() { return 1; }`:                                   false,
+		`function f() { return arguments.length; }`:                    true,
+		`function f() { return function() { return arguments[0]; }; }`: true,
+		`function f() { if (0) { var x = arguments; } }`:               true,
+		`function f(a) { return a; }`:                                  false,
+		`function f() { for (var k in arguments) {} }`:                 true,
 	}
 	for src, want := range cases {
 		cp := Compile(MustParse(src))

@@ -10,8 +10,8 @@
 //     therefore attached out-of-band: counters are process-local atomics
 //     that no simulation code reads back, and the decision log is derived
 //     from ledger spans the run already produced — the tracer observes the
-//     simulation, it never participates in it. CI diffs obs-on vs -no-obs
-//     outputs to enforce this.
+//     simulation, it never participates in it. The report parity test and
+//     CI's trace-smoke diff obs-on against obs-off outputs to enforce this.
 //  2. Lock-cheap hot path. Incrementing a counter is one atomic add.
 //     Labeled instruments resolve their child once (callers cache the
 //     returned *Counter) so per-frame code never touches a map or mutex.
@@ -19,49 +19,35 @@
 //     children collapse into an "overflow" child) and the decision recorder
 //     caps its in-memory log, counting what it dropped.
 //
-// The enable gate is two-level: SetEnabled flips the process default
-// (greenbench -no-obs), and ContextWithObs overrides it per call tree
-// (greensrv threads the override from the HTTP layer through the fleet into
-// the harness). Metrics counters stay live either way — they are free and
-// side-effect-free — while decision recording honors the gate.
+// The enable gate is a context value: ContextWithObs turns decision
+// recording off (or back on) for everything running under a context, and a
+// context that does not say is on. greensrv and greennode thread it from
+// their -no-obs flags through the fleet into the harness. Metrics counters
+// stay live either way — they are free and side-effect-free — while
+// decision recording honors the gate.
 package obs
 
-import (
-	"context"
-	"sync/atomic"
-)
+import "context"
 
-// enabled is the process-wide default gate. On unless SetEnabled(false).
-var enabled atomic.Bool
-
-func init() { enabled.Store(true) }
-
-// SetEnabled flips the process-wide observability default (decision
-// recording). Metrics counters are unaffected: they never alter outputs and
-// cost one atomic add.
-func SetEnabled(on bool) { enabled.Store(on) }
-
-// Enabled reports the process-wide default gate.
-func Enabled() bool { return enabled.Load() }
+// Enabled reports true: observability is on unless a run's context turns
+// it off (EnabledIn). Kept for callers that predate the context gate.
+func Enabled() bool { return true }
 
 type ctxKey struct{}
 
-// ContextWithObs returns a context that overrides the process default for
-// everything running under it. greensrv threads this through the fleet into
-// the harness so one server flag (or one sweep) can switch decision
-// recording without touching the global gate.
+// ContextWithObs returns a context that switches decision recording on or
+// off for everything running under it.
 func ContextWithObs(ctx context.Context, on bool) context.Context {
 	return context.WithValue(ctx, ctxKey{}, on)
 }
 
-// EnabledIn reports whether observability is on for this context: an
-// explicit ContextWithObs setting wins; otherwise the process default
-// applies.
+// EnabledIn reports whether observability is on for this context: on
+// unless ContextWithObs turned it off.
 func EnabledIn(ctx context.Context) bool {
 	if ctx != nil {
 		if v, ok := ctx.Value(ctxKey{}).(bool); ok {
 			return v
 		}
 	}
-	return Enabled()
+	return true
 }

@@ -5,27 +5,20 @@ import (
 	"testing"
 )
 
-func TestEnabledGlobalAndContext(t *testing.T) {
-	defer SetEnabled(true) // restore the package default for other tests
-
-	if !Enabled() {
-		t.Fatal("obs must default to enabled")
-	}
+func TestEnabledContext(t *testing.T) {
 	ctx := context.Background()
-	if !EnabledIn(ctx) {
-		t.Error("plain context should inherit the global default")
+	if !EnabledIn(ctx) || !EnabledIn(nil) {
+		t.Error("a context that does not say must be enabled")
 	}
-
-	SetEnabled(false)
-	if Enabled() || EnabledIn(ctx) {
-		t.Error("global disable not observed")
+	off := ContextWithObs(ctx, false)
+	if EnabledIn(off) {
+		t.Error("context disable not observed")
 	}
-	// A context override wins over the global in both directions.
-	if !EnabledIn(ContextWithObs(ctx, true)) {
-		t.Error("context enable did not override global disable")
+	// The innermost setting wins in both directions.
+	if !EnabledIn(ContextWithObs(off, true)) {
+		t.Error("context enable did not override an outer disable")
 	}
-	SetEnabled(true)
-	if EnabledIn(ContextWithObs(ctx, false)) {
-		t.Error("context disable did not override global enable")
+	if EnabledIn(ContextWithObs(ContextWithObs(ctx, true), false)) {
+		t.Error("context disable did not override an outer enable")
 	}
 }

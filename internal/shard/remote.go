@@ -351,12 +351,15 @@ func (n *RemoteNode) dialAndShake() (*session, int, string, error) {
 		conn.Close()
 		return nil, 0, "", fmt.Errorf("handshake: %w", err)
 	}
-	if f.T != frameWelcome || f.Err != "" {
+	if f.T != frameWelcome || f.Err != "" || f.Proto != protoVersion {
 		conn.Close()
-		if f.Err != "" {
+		switch {
+		case f.Err != "":
 			return nil, 0, "", fmt.Errorf("worker refused: %s", f.Err)
+		case f.T != frameWelcome:
+			return nil, 0, "", fmt.Errorf("handshake: unexpected %q frame", f.T)
 		}
-		return nil, 0, "", fmt.Errorf("handshake: unexpected %q frame", f.T)
+		return nil, 0, "", fmt.Errorf("handshake: worker speaks proto %d, want %d", f.Proto, protoVersion)
 	}
 	conn.SetDeadline(time.Time{})
 	sess := &session{

@@ -152,33 +152,43 @@ func serveSweep(t *testing.T, pool *fleet.Pool, body string, decoded bool) map[s
 	return out
 }
 
-// TestRemoteServerBytesMatchLocal: one sweep served through greensrv's HTTP
+// TestRemoteServerBytesMatchLocal: a sweep served through greensrv's HTTP
 // surface renders the same bytes whether its jobs ran on local nodes or on
 // a loopback worker — results, the decision-event stream and the per-job
 // ledger trace. The remote runs reach the coordinator with their timelines
-// still encoded; only the event and trace exports decode them.
+// still encoded; only the event and trace exports decode them. The staged
+// input pins the per-sweep stage_workers field, the one way to stage a
+// sweep, on both topologies.
 func TestRemoteServerBytesMatchLocal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-trace sweep ×2 topologies")
 	}
-	const body = `{"apps":["Todo","MSN"],"kinds":["GreenWeb-I","Perf"],"phase":"full"}`
-	want := serveSweep(t, fleet.New(fleet.Options{Workers: 2}), body, true)
-	got := serveSweep(t, remotePool(t, fleet.Options{Workers: 2}), body, false)
-	// Every job must contribute to every body, or equal bytes prove nothing.
-	for i := 0; i < 4; i++ {
-		for path, row := range map[string]string{
-			"/results": fmt.Sprintf(`{"index":%d,`, i),
-			"/events":  fmt.Sprintf(`{"index":%d,`, i),
-			"/trace":   fmt.Sprintf(`"pid": %d,`, i+1),
-		} {
-			if !strings.Contains(want[path], row) {
-				t.Fatalf("local %s has no %s row:\n%.2000s", path, row, want[path])
+	for _, in := range []struct{ name, body, mark string }{
+		{"full", `{"apps":["Todo","MSN"],"kinds":["GreenWeb-I","Perf"],"phase":"full"}`, `"frames":`},
+		{"staged", `{"apps":["SPA-Feed","Todo"],"kinds":["GreenWeb-I","Perf"],"phase":"micro","stage_workers":[4]}`,
+			`"stage_workers":4,`},
+	} {
+		want := serveSweep(t, fleet.New(fleet.Options{Workers: 2}), in.body, true)
+		got := serveSweep(t, remotePool(t, fleet.Options{Workers: 2}), in.body, false)
+		// Every job must contribute to every body, or equal bytes prove nothing.
+		for i := 0; i < 4; i++ {
+			for path, row := range map[string]string{
+				"/results": fmt.Sprintf(`{"index":%d,`, i),
+				"/events":  fmt.Sprintf(`{"index":%d,`, i),
+				"/trace":   fmt.Sprintf(`"pid": %d,`, i+1),
+			} {
+				if !strings.Contains(want[path], row) {
+					t.Fatalf("%s: local %s has no %s row:\n%.2000s", in.name, path, row, want[path])
+				}
 			}
 		}
-	}
-	for _, path := range []string{"/results", "/events", "/trace"} {
-		if got[path] != want[path] {
-			t.Errorf("remote %s diverged from local (%d vs %d bytes)", path, len(got[path]), len(want[path]))
+		if n := strings.Count(want["/results"], in.mark); n != 4 {
+			t.Fatalf("%s: %d of 4 local result rows carry %s:\n%s", in.name, n, in.mark, want["/results"])
+		}
+		for _, path := range []string{"/results", "/events", "/trace"} {
+			if got[path] != want[path] {
+				t.Errorf("%s: remote %s diverged from local (%d vs %d bytes)", in.name, path, len(got[path]), len(want[path]))
+			}
 		}
 	}
 }

@@ -3,12 +3,14 @@ package shard
 import (
 	"context"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/wattwiseweb/greenweb/internal/acmp"
 	"github.com/wattwiseweb/greenweb/internal/fleet"
 	"github.com/wattwiseweb/greenweb/internal/harness"
+	"github.com/wattwiseweb/greenweb/internal/obs"
 	"github.com/wattwiseweb/greenweb/internal/obs/trace"
 )
 
@@ -134,6 +136,45 @@ func TestLegacyWorkerGetsStrippedTrace(t *testing.T) {
 	}
 	if off := n.Health().ClockOffsetUS; off != 0 {
 		t.Errorf("un-negotiated session reported clock offset %d, want 0", off)
+	}
+}
+
+// TestNoObsWorker: a worker built with NoObs (greennode -no-obs) declines
+// trace negotiation and runs every job with decision recording off; the
+// default worker does neither.
+func TestNoObsWorker(t *testing.T) {
+	for _, noObs := range []bool{false, true} {
+		var recorded atomic.Bool
+		exec := func(ctx context.Context, j fleet.Job) (*harness.Run, error) {
+			recorded.Store(obs.EnabledIn(ctx))
+			return &harness.Run{}, nil
+		}
+		_, addr := startWorker(t, WorkerOptions{NoObs: noObs, Pool: fleet.Options{Workers: 1, Execute: exec}})
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if err := writeFrame(conn, frame{T: frameHello, Proto: protoVersion, Trace: true}); err != nil {
+			t.Fatal(err)
+		}
+		welcome, err := readFrame(conn)
+		if err != nil || welcome.T != frameWelcome || welcome.Err != "" {
+			t.Fatalf("noObs=%v: welcome %+v, %v", noObs, welcome, err)
+		}
+		if welcome.Trace == noObs {
+			t.Errorf("noObs=%v: welcome negotiated trace=%v", noObs, welcome.Trace)
+		}
+		job := &fleet.Job{App: "Todo", Kind: harness.Perf, Phase: fleet.Micro}
+		if err := writeFrame(conn, frame{T: frameJob, ID: 1, Job: job}); err != nil {
+			t.Fatal(err)
+		}
+		if res, err := readFrame(conn); err != nil || res.T != frameResult {
+			t.Fatalf("noObs=%v: result %+v, %v", noObs, res, err)
+		}
+		if recorded.Load() == noObs {
+			t.Errorf("noObs=%v: job ran with decision recording %v", noObs, recorded.Load())
+		}
 	}
 }
 

@@ -63,6 +63,7 @@ type wireRun struct {
 	FrameEnergy acmp.Joules `json:"frame_energy_j"`
 	IdleEnergy  acmp.Joules `json:"idle_energy_j"`
 	EventEnergy acmp.Joules `json:"event_energy_j"`
+	StageEnergy acmp.Joules `json:"stage_energy_j,omitempty"`
 
 	ThermalTrips  int         `json:"thermal_trips,omitempty"`
 	DVFSDenied    int         `json:"dvfs_denied,omitempty"`
@@ -140,6 +141,7 @@ func encodeRun(run *harness.Run) *wireRun {
 		FrameEnergy:   run.FrameEnergy,
 		IdleEnergy:    run.IdleEnergy,
 		EventEnergy:   run.EventEnergy,
+		StageEnergy:   run.StageEnergy,
 		ThermalTrips:  run.ThermalTrips,
 		DVFSDenied:    run.DVFSDenied,
 		DVFSDelayed:   run.DVFSDelayed,
@@ -172,6 +174,7 @@ func decodeRun(w *wireRun, job fleet.Job) *harness.Run {
 		FrameEnergy:   w.FrameEnergy,
 		IdleEnergy:    w.IdleEnergy,
 		EventEnergy:   w.EventEnergy,
+		StageEnergy:   w.StageEnergy,
 		ThermalTrips:  w.ThermalTrips,
 		DVFSDenied:    w.DVFSDenied,
 		DVFSDelayed:   w.DVFSDelayed,
