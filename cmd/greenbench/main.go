@@ -25,11 +25,10 @@
 // standard pprof profiles of the run for `go tool pprof` (see
 // EXPERIMENTS.md).
 //
-// The script engine, the asset cache and the decision recorder have no
-// switches here: they are out-of-band, and the report parity test in
-// internal/fleet renders the report and the fault sweep with the
-// tree-walking interpreter, a cold asset cache and decision recording off,
-// and requires the same bytes.
+// The script engine and the asset cache have no switches here: they are
+// out-of-band, and the report parity test in internal/fleet renders the
+// report and the fault sweep with the tree-walking interpreter and a cold
+// asset cache, and requires the same bytes.
 //
 // Usage:
 //

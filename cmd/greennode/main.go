@@ -20,10 +20,11 @@
 //	GET /readyz   readiness — 200 once the frame listener is bound
 //
 // Tracing: when a connecting greensrv negotiates tracing (and this worker
-// has obs enabled), executed jobs record spans that ship back piggybacked on
-// result frames. -no-obs opts the worker out of decision recording and
-// tracing — the handshake then omits trace support and the server degrades
-// gracefully.
+// was not started with -no-obs), executed jobs record spans that ship back
+// piggybacked on result frames. -no-obs opts the worker out of fleet
+// tracing — the handshake then omits trace support, the server ships its
+// jobs untraced and degrades gracefully. Result bytes, including each run's
+// timeline, are identical either way.
 //
 // On SIGINT/SIGTERM the worker stops accepting, closes its connections
 // (cancelling their in-flight jobs; the server re-homes them), and exits.
@@ -58,7 +59,7 @@ func main() {
 	retrySeed := flag.Int64("retry-seed", 0, "seed for deterministic backoff jitter")
 	httpAddr := flag.String("http", "", "health/metrics listen address (empty = no health surface)")
 	logLevel := flag.String("log-level", "info", "log verbosity: debug, info, warn, error")
-	noObs := flag.Bool("no-obs", false, "disable decision recording and tracing (outputs must be byte-identical either way)")
+	noObs := flag.Bool("no-obs", false, "decline fleet tracing in the handshake, so jobs run untraced (outputs are byte-identical either way)")
 	flag.Parse()
 
 	log := slog.New("greennode")

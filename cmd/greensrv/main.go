@@ -15,7 +15,7 @@
 //	         [-store DIR] [-store-compact BYTES]
 //	         [-admit-queue N] [-admit-rate R] [-admit-burst B]
 //	         [-read-header-timeout 10s] [-log-level LEVEL]
-//	         [-no-obs] [-no-trace] [-drain-timeout 30s] [-obs-dump FILE]
+//	         [-no-trace] [-drain-timeout 30s] [-obs-dump FILE]
 //
 // With -remote-nodes the nodes are greennode worker processes reached over
 // TCP instead of in-process slots (same scheduler, same queue): jobs ship
@@ -90,7 +90,6 @@ func main() {
 	admitBurst := flag.Int("admit-burst", 10, "per-client token-bucket burst")
 	readHeaderTimeout := flag.Duration("read-header-timeout", 10*time.Second, "cap on reading a request's headers (slowloris guard)")
 	logLevel := flag.String("log-level", "info", "log verbosity: debug, info, warn, error")
-	noObs := flag.Bool("no-obs", false, "disable decision recording and tracing (outputs must be byte-identical either way)")
 	noTrace := flag.Bool("no-trace", false, "disable fleet-level distributed tracing only (sweep bytes are identical either way)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "grace for in-flight sweeps on SIGINT/SIGTERM before cancellation")
 	obsDump := flag.String("obs-dump", "", "file for the final metrics snapshot on shutdown (default stderr)")
@@ -139,7 +138,7 @@ func main() {
 	// must stop intake and start the drain, not kill every running sweep on
 	// the spot. Cancellation of stragglers happens inside Drain, after the
 	// grace period.
-	baseCtx := obs.ContextWithObs(context.Background(), !*noObs)
+	baseCtx := context.Background()
 
 	sigCtx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -11,7 +11,7 @@ func TestCheckRemoteFlags(t *testing.T) {
 		refused string // flag named in the error; "" = accepted
 	}{
 		{nil, ""},
-		{[]string{"remote-nodes", "retry-seed", "queue", "store", "no-obs"}, ""},
+		{[]string{"remote-nodes", "retry-seed", "queue", "store", "no-trace"}, ""},
 		{[]string{"remote-nodes", "workers"}, "-workers"},
 		{[]string{"remote-nodes", "job-timeout"}, "-job-timeout"},
 		{[]string{"remote-nodes", "max-attempts"}, "-max-attempts"},

@@ -143,10 +143,6 @@ type Engine struct {
 	// led, when set, receives a span per frame production and per input's
 	// event closure for energy attribution (nil disables tracking).
 	led *ledger.Ledger
-	// tracer, when set, receives every closed frame span as a scheduling
-	// decision. Purely observational: it reads ledger output the run already
-	// produced and never feeds anything back.
-	tracer *obs.Recorder
 }
 
 // New creates an engine on the simulator and CPU. A nil cost model uses
@@ -238,10 +234,9 @@ func (e *Engine) SetLedger(l *ledger.Ledger) { e.led = l }
 // Governors use this to annotate the spans of frames they schedule.
 func (e *Engine) Ledger() *ledger.Ledger { return e.led }
 
-// SetTracer installs a decision recorder fed each closed frame span (a nil
-// recorder is a no-op). Requires a ledger: decisions are projections of its
-// frame spans.
-func (e *Engine) SetTracer(r *obs.Recorder) { e.tracer = r }
+// SetTracer does nothing. Kept only for perfbench/, which still installs a
+// recorder; the decision log is derived from the ledger's frame spans.
+func (e *Engine) SetTracer(*obs.Recorder) {}
 
 // SetTreeWalk runs the page's scripts on the tree-walking interpreter, the
 // reference the bytecode VM is checked against. Both charge the identical op
@@ -833,7 +828,7 @@ func (e *Engine) produceFrame(begin sim.Time, _ Provenance) {
 	if !e.dirty {
 		// Animations ran but nothing changed visually: no frame needed.
 		if e.led != nil {
-			e.tracer.RecordFrame(e.led.EndFrame(0, e.cpu.Config()))
+			e.led.EndFrame(0, e.cpu.Config())
 		}
 		e.producing = false
 		e.checkComplete()
@@ -940,7 +935,7 @@ func (e *Engine) frameComplete(seq int, begin sim.Time, cfg acmp.Config, prov, d
 	// feedback annotations land on it; its rescheduling here is zero-width
 	// in virtual time and charges nothing to the closing span.
 	if e.led != nil {
-		e.tracer.RecordFrame(e.led.EndFrame(seq, cfg))
+		e.led.EndFrame(seq, cfg)
 	}
 	e.checkComplete()
 	if e.needsFrameWork() {

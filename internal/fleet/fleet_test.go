@@ -218,12 +218,11 @@ func TestParallelSweepMatchesSequentialByteForByte(t *testing.T) {
 
 // TestFleetReportMatchesSequentialReport renders the evaluation report and
 // the default fault sweep under every run setting that must not move an
-// output byte: sequential and fleet-prefetched, a cold asset cache, the
-// tree-walking interpreter instead of the bytecode VM, and decision
-// recording off. Every report leg must equal the checked-in report, and
-// every fault-sweep leg the default leg. The configs run side by side as
-// parallel subtests, which works only because each one rides on its own
-// context.
+// output byte: sequential and fleet-prefetched, a cold asset cache, and the
+// tree-walking interpreter instead of the bytecode VM. Every report leg must
+// equal the checked-in report, and every fault-sweep leg the default leg.
+// The configs run side by side as parallel subtests, which works only
+// because each one rides on its own context.
 func TestFleetReportMatchesSequentialReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full report render in -short mode")
@@ -252,7 +251,6 @@ func TestFleetReportMatchesSequentialReport(t *testing.T) {
 	}{
 		{"default", bg},
 		{"tree-walk", harness.WithTreeWalk(bg)},
-		{"obs-off", obs.ContextWithObs(bg, false)},
 	}
 	faultLegs := make([]string, len(configs))
 	t.Run("legs", func(t *testing.T) {

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"github.com/wattwiseweb/greenweb/internal/harness"
-	"github.com/wattwiseweb/greenweb/internal/obs"
 	"github.com/wattwiseweb/greenweb/internal/obs/trace"
 )
 
@@ -121,9 +120,9 @@ func (n *LocalNode) Run(ctx context.Context, job Job) Result {
 	res := Result{Job: job}
 	// A traced job records its execute attempts and backoff sleeps into a
 	// bounded per-job recorder; the spans ride back beside the result. Nil
-	// recorder (untraced, or obs off) records nothing.
+	// recorder (untraced) records nothing.
 	var rec *trace.JobRecorder
-	if job.Trace != nil && obs.EnabledIn(ctx) {
+	if job.Trace != nil {
 		rec = trace.NewJobRecorder(*job.Trace, n.opts.SpanBudget)
 	}
 	max := n.opts.MaxAttempts

@@ -467,12 +467,12 @@ func NewServer(m *Manager) *Server {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		flusher, _ := w.(http.Flusher)
 		enc := json.NewEncoder(w)
-		// Per-job decision logs in submission order, each flushed as its job
-		// finishes. Failed jobs (and -no-obs runs) contribute no rows. The
-		// 200 goes out with the first flush, so a timeline that fails to
-		// decode before then is answered with a 500; after it, the response
-		// is aborted so the client sees a truncated stream, never a clean
-		// one missing the job.
+		// Per-job decision logs in submission order, each projected from the
+		// job's frame spans and flushed as its job finishes. Failed jobs
+		// contribute no rows. The 200 goes out with the first flush, so a
+		// timeline that fails to decode before then is answered with a 500;
+		// after it, the response is aborted so the client sees a truncated
+		// stream, never a clean one missing the job.
 		started := false
 		for i := 0; i < s.Len(); i++ {
 			res, err := s.Result(r.Context(), i)
@@ -491,7 +491,11 @@ func NewServer(m *Manager) *Server {
 				return
 			}
 			started = true
-			for _, d := range tl.Decisions {
+			for _, sp := range tl.Spans {
+				d, ok := obs.DecisionOf(sp)
+				if !ok {
+					continue
+				}
 				if err := enc.Encode(eventRow{Index: i, App: res.Job.App, Kind: res.Job.Kind, Decision: d}); err != nil {
 					return
 				}
@@ -521,7 +525,7 @@ func NewServer(m *Manager) *Server {
 			tr, ok := m.Traces().Get(string(s.ID))
 			if !ok {
 				httpErrorCode(w, http.StatusNotFound, CodeNoFleetTrace, fmt.Errorf(
-					"sweep %q has no fleet trace (tracing disabled, -no-obs, or the buffer was evicted)", s.ID))
+					"sweep %q has no fleet trace (tracing disabled, or the buffer was evicted)", s.ID))
 				return
 			}
 			// Wait for the sweep so the artifact covers every job's spans.
@@ -589,8 +593,8 @@ const (
 	// CodeReplayedNoTrace: the sweep exists but was replayed from the WAL,
 	// which persists result rows, not the trace/event overlay.
 	CodeReplayedNoTrace = "replayed_no_trace"
-	// CodeNoFleetTrace: the sweep ran without fleet tracing (disabled, or
-	// -no-obs) or its span buffer aged out of the collector.
+	// CodeNoFleetTrace: the sweep ran without fleet tracing (-no-trace) or
+	// its span buffer aged out of the collector.
 	CodeNoFleetTrace = "no_fleet_trace"
 )
 

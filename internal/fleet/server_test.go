@@ -15,7 +15,6 @@ import (
 	"github.com/wattwiseweb/greenweb/internal/acmp"
 	"github.com/wattwiseweb/greenweb/internal/harness"
 	"github.com/wattwiseweb/greenweb/internal/ledger"
-	"github.com/wattwiseweb/greenweb/internal/obs"
 	"github.com/wattwiseweb/greenweb/internal/obs/trace"
 )
 
@@ -504,7 +503,7 @@ func TestServerEventsEndpoint(t *testing.T) {
 // gone out the endpoint answers 500; once /events has streamed rows, the
 // response is aborted so the client sees a broken body.
 func TestTimelineDecodeFailureIsAnError(t *testing.T) {
-	good, err := harness.EncodeTimeline(&harness.Run{Decisions: []obs.Decision{{Span: 1, EndUS: 5}}})
+	good, err := harness.EncodeTimeline(&harness.Run{Spans: []ledger.Span{{ID: 1, Kind: ledger.KindFrame, End: 5}}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"github.com/wattwiseweb/greenweb/internal/harness"
-	"github.com/wattwiseweb/greenweb/internal/obs"
 	"github.com/wattwiseweb/greenweb/internal/obs/trace"
 	"github.com/wattwiseweb/greenweb/internal/store"
 )
@@ -181,7 +180,7 @@ type Manager struct {
 	seq    atomic.Uint64
 	shards [registryShards]registryShard
 	// noTracing disables fleet-wide span recording (greensrv -no-trace).
-	// Zero value = tracing on; the obs gate still applies on top.
+	// Zero value = tracing on.
 	noTracing atomic.Bool
 	// traces is where this manager registers sweep span buffers. Production
 	// uses the process-global trace.Default() (so the Pool pullers, which only
@@ -191,14 +190,11 @@ type Manager struct {
 	traces *trace.Collector
 }
 
-// SetTracing flips fleet-wide distributed tracing (default on). Tracing is
-// additionally gated by the obs enable state: -no-obs implies no tracing.
+// SetTracing flips fleet-wide distributed tracing (default on).
 func (m *Manager) SetTracing(on bool) { m.noTracing.Store(!on) }
 
 // TracingEnabled reports whether new sweeps will be traced.
-func (m *Manager) TracingEnabled() bool {
-	return !m.noTracing.Load() && obs.EnabledIn(m.ctx)
-}
+func (m *Manager) TracingEnabled() bool { return !m.noTracing.Load() }
 
 // NewManager builds a manager over any Runner (a Pool, or a wrapper of one);
 // ctx bounds the lifetime of every sweep it enqueues (pass the server's

@@ -6,11 +6,11 @@ import (
 	"github.com/wattwiseweb/greenweb/internal/browser"
 )
 
-// A run's host-side settings ride on its context, next to the obs gate
-// (obs.ContextWithObs): callers wrap the context they hand to ExecuteCell,
-// a Suite or a fleet sweep, and executeHTML applies the settings to the
-// engine before LoadPage. None of them changes an output byte except the
-// stage-worker count, which changes the modeled machine.
+// A run's host-side settings ride on its context: callers wrap the context
+// they hand to ExecuteCell, a Suite or a fleet sweep, and executeHTML
+// applies the settings to the engine before LoadPage. None of them changes
+// an output byte except the stage-worker count, which changes the modeled
+// machine.
 
 type (
 	stageWorkersKey struct{}

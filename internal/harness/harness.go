@@ -159,20 +159,14 @@ type Run struct {
 	// production (zero on a serial run). Stage windows nest inside frame
 	// windows, so StageEnergy ≤ FrameEnergy always.
 	StageEnergy acmp.Joules
-	// Spans is the full attribution timeline, for trace export. Spans,
-	// ConfigMarks and Decisions are nil on a run received from another
-	// process; Timeline reads all three for either kind of run.
+	// Spans is the full attribution timeline, for trace export and the
+	// decision log (obs.DecisionsOf). Spans and ConfigMarks are nil on a
+	// run received from another process; Timeline reads both for either
+	// kind of run.
 	Spans []ledger.Span
 	// ConfigMarks is the configuration-change history, for trace export.
 	ConfigMarks []ledger.ConfigMark
-
-	// Decisions is the per-frame decision log recorded live by the obs
-	// tracer as each frame span closed — one entry per frame span, in
-	// production order. Empty when observability is disabled for the run's
-	// context (obs.EnabledIn); everything else in Run is unaffected either
-	// way, which the report parity test enforces byte-for-byte.
-	Decisions []obs.Decision
-	// encodedTimeline, when set, holds Spans, ConfigMarks and Decisions in
+	// encodedTimeline, when set, holds Spans and ConfigMarks in
 	// EncodeTimeline form instead; read them through Timeline.
 	encodedTimeline []byte
 
@@ -244,8 +238,8 @@ func subtractResidency(after, before map[acmp.Config]sim.Duration) map[acmp.Conf
 // Cell names one measured execution: an application under a governor,
 // replaying its full interaction or its microbenchmark trace, optionally on
 // a faulted device. It is everything that decides what is measured; how the
-// run executes (stage workers, script engine, decision recording) rides on
-// the context instead.
+// run executes (stage workers, script engine) rides on the context
+// instead.
 type Cell struct {
 	App  *apps.App
 	Kind Kind
@@ -343,15 +337,6 @@ func executeHTML(ctx context.Context, app *apps.App, html string, kind Kind, tra
 	e.SetTreeWalk(treeWalkIn(ctx))
 	led := ledger.New(cpu)
 	e.SetLedger(led)
-	// Decision-level tracing rides the ledger out-of-band: a nil recorder
-	// costs one pointer compare per frame, a live one copies the already-
-	// closed span. Gated per context so greensrv/greennode -no-obs runs
-	// skip even that.
-	var rec *obs.Recorder
-	if obs.EnabledIn(ctx) {
-		rec = obs.NewRecorder(0)
-		e.SetTracer(rec)
-	}
 	gov := newGovernor(kind)
 	var rt *core.Runtime
 	if r, ok := gov.(*core.Runtime); ok {
@@ -444,7 +429,6 @@ func executeHTML(ctx context.Context, app *apps.App, html string, kind Kind, tra
 	run.FrameEnergy, run.IdleEnergy, run.EventEnergy = totals.Frame, totals.Idle, totals.Event
 	run.StageEnergy = totals.Stage
 	run.ConfigMarks = led.Marks()
-	run.Decisions = rec.Decisions()
 	if daq != nil {
 		daq.Stop()
 		run.DAQSamples, run.DAQDropped, run.MeteredEnergy = daq.Samples(), daq.Dropped(), daq.Energy()
@@ -497,9 +481,9 @@ type Suite struct {
 func NewSuite() *Suite { return NewSuiteContext(context.Background()) }
 
 // NewSuiteContext returns an empty result cache whose runs execute under
-// ctx, so its settings (WithStageWorkers, WithTreeWalk, obs.ContextWithObs)
-// reach every run, and cancelling ctx abandons them. A prefetcher must be
-// bound to the same settings.
+// ctx, so its settings (WithStageWorkers, WithTreeWalk) reach every run,
+// and cancelling ctx abandons them. A prefetcher must be bound to the same
+// settings.
 func NewSuiteContext(ctx context.Context) *Suite {
 	return &Suite{ctx: ctx, micro: make(map[string]*Run), full: make(map[string]*Run)}
 }

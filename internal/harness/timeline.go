@@ -6,33 +6,32 @@ import (
 
 	"github.com/wattwiseweb/greenweb/internal/acmp"
 	"github.com/wattwiseweb/greenweb/internal/ledger"
-	"github.com/wattwiseweb/greenweb/internal/obs"
 	"github.com/wattwiseweb/greenweb/internal/sim"
 )
 
-// Timeline is a run's attribution timeline: the ledger spans, the
-// configuration-change history and the per-frame decision log. It is the
-// bulk of a run and only the trace and event exports read it.
+// Timeline is a run's attribution timeline: the ledger spans and the
+// configuration-change history. It is the bulk of a run and only the trace
+// and event exports read it; the event export projects the per-frame
+// decision log from the spans (obs.DecisionOf).
 type Timeline struct {
 	Spans       []ledger.Span
 	ConfigMarks []ledger.ConfigMark
-	Decisions   []obs.Decision
 }
 
 // Timeline returns the run's attribution timeline. A run executed in this
-// process answers from its Spans, ConfigMarks and Decisions. A run that
-// arrived encoded (SetEncodedTimeline) leaves those nil and decodes its
-// retained bytes on every call, so nothing decoded outlives the request
-// that asked for it.
+// process answers from its Spans and ConfigMarks. A run that arrived
+// encoded (SetEncodedTimeline) leaves those nil and decodes its retained
+// bytes on every call, so nothing decoded outlives the request that asked
+// for it.
 func (r *Run) Timeline() (Timeline, error) {
 	if r.encodedTimeline == nil {
-		return Timeline{Spans: r.Spans, ConfigMarks: r.ConfigMarks, Decisions: r.Decisions}, nil
+		return Timeline{Spans: r.Spans, ConfigMarks: r.ConfigMarks}, nil
 	}
 	var w wireTimeline
 	if err := json.Unmarshal(r.encodedTimeline, &w); err != nil {
 		return Timeline{}, fmt.Errorf("harness: decoding timeline: %w", err)
 	}
-	t := Timeline{Spans: w.Spans, Decisions: w.Decisions}
+	t := Timeline{Spans: w.Spans}
 	for _, m := range w.ConfigMarks {
 		t.ConfigMarks = append(t.ConfigMarks, ledger.ConfigMark{
 			At:   m.At,
@@ -54,7 +53,7 @@ func EncodeTimeline(r *Run) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := wireTimeline{Spans: t.Spans, Decisions: t.Decisions}
+	w := wireTimeline{Spans: t.Spans}
 	for _, m := range t.ConfigMarks {
 		w.ConfigMarks = append(w.ConfigMarks, wireConfigMark{
 			At:          m.At,
@@ -73,7 +72,6 @@ func EncodeTimeline(r *Run) ([]byte, error) {
 type wireTimeline struct {
 	Spans       []ledger.Span    `json:"spans,omitempty"`
 	ConfigMarks []wireConfigMark `json:"config_marks,omitempty"`
-	Decisions   []obs.Decision   `json:"decisions,omitempty"`
 }
 
 // wireConfigMark mirrors ledger.ConfigMark, whose From/To fields are

@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"io"
-	"sync"
 
 	"github.com/wattwiseweb/greenweb/internal/ledger"
 )
@@ -69,8 +68,8 @@ func DecisionOf(sp ledger.Span) (Decision, bool) {
 	}, true
 }
 
-// DecisionsOf projects every frame span into the decision log — the pure
-// derivation used for trace export and for cross-checking a live Recorder.
+// DecisionsOf projects every frame span into the decision log, in span
+// order.
 func DecisionsOf(spans []ledger.Span) []Decision {
 	var out []Decision
 	for _, sp := range spans {
@@ -81,69 +80,13 @@ func DecisionsOf(spans []ledger.Span) []Decision {
 	return out
 }
 
-// DefaultRecorderCap bounds a Recorder's in-memory decision log. At ~200 B a
-// decision this is a few MB — far above any single app run (thousands of
-// frames) but a hard stop against a runaway loop.
-const DefaultRecorderCap = 1 << 16
+// Recorder records nothing. Kept only for perfbench/, which still installs
+// one on its engines; the decision log is derived from the ledger spans
+// (DecisionsOf).
+type Recorder struct{}
 
-// Recorder accumulates the decision log for one run. It is the live tracer
-// the engine feeds as each frame span closes; all methods are nil-safe so
-// un-instrumented callers pass nil and pay one pointer compare per frame.
-type Recorder struct {
-	mu        sync.Mutex
-	cap       int
-	decisions []Decision
-	dropped   int64
-}
-
-// NewRecorder returns a recorder holding at most cap decisions
-// (DefaultRecorderCap when cap <= 0); later decisions are counted as
-// dropped.
-func NewRecorder(cap int) *Recorder {
-	if cap <= 0 {
-		cap = DefaultRecorderCap
-	}
-	return &Recorder{cap: cap}
-}
-
-// RecordFrame projects and appends a closed frame span. Nil-safe; non-frame
-// spans are ignored.
-func (r *Recorder) RecordFrame(sp ledger.Span) {
-	if r == nil {
-		return
-	}
-	d, ok := DecisionOf(sp)
-	if !ok {
-		return
-	}
-	r.mu.Lock()
-	if len(r.decisions) >= r.cap {
-		r.dropped++
-	} else {
-		r.decisions = append(r.decisions, d)
-	}
-	r.mu.Unlock()
-}
-
-// Decisions returns a copy of the recorded log in record order.
-func (r *Recorder) Decisions() []Decision {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]Decision(nil), r.decisions...)
-}
-
-// Dropped reports how many decisions the cap discarded.
-func (r *Recorder) Dropped() int64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dropped
-}
+// NewRecorder returns an empty Recorder. Kept only for perfbench/.
+func NewRecorder(int) *Recorder { return &Recorder{} }
 
 // WriteNDJSON streams decisions one JSON object per line — the format
 // greensrv serves at GET /v1/sweeps/{id}/events.

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"reflect"
 	"testing"
 
 	"github.com/wattwiseweb/greenweb/internal/acmp"
@@ -59,48 +58,6 @@ func TestDecisionsOfFiltersKinds(t *testing.T) {
 	ds := DecisionsOf(spans)
 	if len(ds) != 2 || ds[0].Span != 2 || ds[1].Span != 4 {
 		t.Fatalf("decisions = %+v", ds)
-	}
-}
-
-func TestRecorderCapAndNilSafety(t *testing.T) {
-	var nilRec *Recorder
-	nilRec.RecordFrame(frameSpan(1, 1, 0)) // must not panic
-	if nilRec.Decisions() != nil || nilRec.Dropped() != 0 {
-		t.Error("nil recorder not inert")
-	}
-
-	r := NewRecorder(2)
-	for i := 1; i <= 5; i++ {
-		r.RecordFrame(frameSpan(i, i, 0))
-	}
-	r.RecordFrame(ledger.Span{Kind: ledger.KindIdle}) // ignored, not dropped
-	ds := r.Decisions()
-	if len(ds) != 2 || ds[0].Span != 1 || ds[1].Span != 2 {
-		t.Fatalf("decisions = %+v", ds)
-	}
-	if r.Dropped() != 3 {
-		t.Errorf("dropped = %d, want 3", r.Dropped())
-	}
-
-	// Decisions returns a copy: mutating it must not reach the recorder.
-	ds[0].Span = 999
-	if r.Decisions()[0].Span != 1 {
-		t.Error("Decisions exposed internal storage")
-	}
-}
-
-func TestRecorderMatchesDecisionsOf(t *testing.T) {
-	spans := []ledger.Span{
-		{ID: 1, Kind: ledger.KindIdle},
-		frameSpan(2, 1, 0),
-		frameSpan(3, 2, 0),
-	}
-	r := NewRecorder(0)
-	for _, sp := range spans {
-		r.RecordFrame(sp)
-	}
-	if !reflect.DeepEqual(r.Decisions(), DecisionsOf(spans)) {
-		t.Error("live recorder disagrees with the pure projection")
 	}
 }
 

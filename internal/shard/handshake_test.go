@@ -17,7 +17,8 @@ import (
 // net.Pipe. Neither side may panic. A Worker starts no job before a valid
 // hello, and answers any other complete first frame — a hello of another
 // protocol version included — with an error welcome. The dial side accepts
-// only a well-formed welcome of this protocol version.
+// only a well-formed welcome of this protocol version that advertises at
+// most maxWelcomeWorkers slots.
 func FuzzHandshake(f *testing.F) {
 	hello := encodeFrame(f, frame{T: frameHello, Proto: protoVersion, Trace: true})
 	job := encodeFrame(f, frame{T: frameJob, ID: 1, Job: &fleet.Job{App: "Todo", Kind: "Perf", Phase: fleet.Full}})
@@ -27,6 +28,7 @@ func FuzzHandshake(f *testing.F) {
 	f.Add(append(job, hello...), encodeFrame(f, frame{T: frameWelcome, Proto: protoVersion + 1}))
 	f.Add(hello[:len(hello)-1], encodeFrame(f, frame{T: framePong, Proto: protoVersion}))
 	f.Add([]byte{}, append(bytes.Clone(welcome), 0xff))
+	f.Add(hello, encodeFrame(f, frame{T: frameWelcome, Proto: protoVersion, Workers: 1 << 30, Name: "w"}))
 	f.Fuzz(func(t *testing.T, toWorker, toDialer []byte) {
 		fuzzWorkerHandshake(t, toWorker)
 		fuzzDialHandshake(t, toDialer)
@@ -82,7 +84,8 @@ func fuzzWorkerHandshake(t *testing.T, in []byte) {
 
 func fuzzDialHandshake(t *testing.T, in []byte) {
 	first, err := readFrame(bytes.NewReader(in))
-	want := err == nil && first.T == frameWelcome && first.Err == "" && first.Proto == protoVersion
+	want := err == nil && first.T == frameWelcome && first.Err == "" && first.Proto == protoVersion &&
+		first.Workers <= maxWelcomeWorkers
 
 	client, server := net.Pipe()
 	defer client.Close()
@@ -105,5 +108,18 @@ func fuzzDialHandshake(t *testing.T, in []byte) {
 	}
 	if sess != nil {
 		sess.conn.Close()
+	}
+}
+
+// TestRefuseOversizedWelcome: a worker advertising more slots than
+// maxWelcomeWorkers is refused at the handshake, so no pool ever starts a
+// puller per advertised slot.
+func TestRefuseOversizedWelcome(t *testing.T) {
+	addr := fakeWorker(t, frame{T: frameWelcome, Proto: protoVersion,
+		Workers: 1 << 30, Name: "greedy"}, make(chan fleet.Job))
+	n, err := NewRemoteNode(0, fastRemote(addr))
+	if err == nil {
+		n.Close()
+		t.Fatal("NewRemoteNode accepted a welcome advertising 1<<30 slots")
 	}
 }

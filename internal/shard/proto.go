@@ -1,7 +1,7 @@
 // Remote node wire protocol: length-prefixed frames over a byte stream (TCP
 // in production, net.Pipe or a chaos-wrapped conn in tests).
 //
-// Frame layout, protocol version 2:
+// Frame layout, protocol version 3:
 //
 //	<u32 payload length> <u32 envelope length> <envelope JSON> <trailer>
 //
@@ -9,10 +9,10 @@
 // itself, so it is 4 + envelope length + trailer length. The envelope is
 // the JSON frame below. The trailer is opaque bytes: empty for every frame
 // type except result, where it carries the run's attribution timeline
-// (ledger spans, config marks, decision log) in harness.EncodeTimeline
-// form. The envelope's crc field is the trailer's CRC-32C (Castagnoli);
-// readFrame verifies it, so a corrupt trailer fails the frame on arrival
-// exactly as an undecodable envelope does, and is never stored. The
+// (ledger spans and config marks) in harness.EncodeTimeline form. The
+// envelope's crc field is the trailer's CRC-32C (Castagnoli); readFrame
+// verifies it, so a corrupt trailer fails the frame on arrival exactly as
+// an undecodable envelope does, and is never stored. The
 // coordinator keeps a result's trailer undecoded until a trace or event
 // export asks for the timeline (harness.Run.Timeline).
 //
@@ -20,8 +20,8 @@
 // are observable to transport wrappers (the chaos injector keys its faults
 // on the write-side frame index). Frame types:
 //
-//	client → worker   {"t":"hello","proto":2,"trace":true}
-//	worker → client   {"t":"welcome","proto":2,"workers":N,"name":"...",
+//	client → worker   {"t":"hello","proto":3,"trace":true}
+//	worker → client   {"t":"welcome","proto":3,"workers":N,"name":"...",
 //	                   "trace":true,"now_us":T,"pid":P}
 //	client → worker   {"t":"job","id":SEQ,"job":{...fleet.Job}}
 //	worker → client   {"t":"result","id":SEQ,"result":{...wireResult},
@@ -36,8 +36,8 @@
 //
 // Tracing is feature-negotiated, not versioned: the hello's trace field
 // advertises that the client can propagate span contexts, and a worker that
-// understands (and has obs enabled) echoes trace:true plus its clock
-// (now_us, for handshake-time offset estimation) and pid (the merged
+// understands (and was not started with -no-obs) echoes trace:true plus its
+// clock (now_us, for handshake-time offset estimation) and pid (the merged
 // trace's process row key) in the welcome. A worker that predates the field
 // simply omits it — JSON ignores unknown hello fields — and the client then
 // strips trace contexts from jobs it ships there, so mixed-version fleets
@@ -57,11 +57,18 @@ import (
 
 // protoVersion is the handshake version; a worker refuses a mismatched
 // client so a silent semantic skew cannot masquerade as a flaky network.
-// Version 2 split each frame into an envelope and a checksummed trailer.
-const protoVersion = 2
+// Version 2 split each frame into an envelope and a checksummed trailer;
+// version 3 dropped the decision log from the trailer (the coordinator
+// derives it from the spans).
+const protoVersion = 3
+
+// maxWelcomeWorkers bounds the execution slots a welcome may advertise.
+// The coordinator starts one puller goroutine per slot, so a corrupt or
+// hostile count is refused at the handshake.
+const maxWelcomeWorkers = 1024
 
 // maxFramePayload bounds one frame. The largest legitimate payload — a
-// result carrying a full-trace run's ledger spans and decision log — is a
+// result carrying a full-trace run's ledger spans and config marks — is a
 // few megabytes; 64 MiB keeps a corrupt length prefix from allocating the
 // heap away.
 const maxFramePayload = 64 << 20

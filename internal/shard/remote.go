@@ -361,6 +361,10 @@ func (n *RemoteNode) dialAndShake() (*session, int, string, error) {
 		}
 		return nil, 0, "", fmt.Errorf("handshake: worker speaks proto %d, want %d", f.Proto, protoVersion)
 	}
+	if f.Workers > maxWelcomeWorkers {
+		conn.Close()
+		return nil, 0, "", fmt.Errorf("handshake: worker advertises %d slots, more than %d", f.Workers, maxWelcomeWorkers)
+	}
 	conn.SetDeadline(time.Time{})
 	sess := &session{
 		conn:  conn,

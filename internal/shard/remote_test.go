@@ -136,15 +136,15 @@ func serveSweep(t *testing.T, pool *fleet.Pool, body string, decoded bool) map[s
 		if err != nil || res.Run == nil {
 			t.Fatalf("job %d: %v, %+v", i, err, res.Err)
 		}
-		if got := res.Run.Spans != nil || res.Run.Decisions != nil; got != decoded {
+		if got := res.Run.Spans != nil || res.Run.ConfigMarks != nil; got != decoded {
 			t.Fatalf("job %d: run carries decoded timeline = %v, want %v", i, got, decoded)
 		}
 		tl, err := res.Run.Timeline()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(tl.Spans) == 0 || len(tl.Decisions) == 0 {
-			t.Fatalf("job %d: Timeline() = %d spans, %d decisions; want both non-empty", i, len(tl.Spans), len(tl.Decisions))
+		if ds := obs.DecisionsOf(tl.Spans); len(ds) == 0 {
+			t.Fatalf("job %d: Timeline() = %d spans, %d frame spans; want frame spans", i, len(tl.Spans), len(ds))
 		}
 	}
 	out["/events"] = get("/events")

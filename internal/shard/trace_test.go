@@ -3,14 +3,12 @@ package shard
 import (
 	"context"
 	"net"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/wattwiseweb/greenweb/internal/acmp"
 	"github.com/wattwiseweb/greenweb/internal/fleet"
 	"github.com/wattwiseweb/greenweb/internal/harness"
-	"github.com/wattwiseweb/greenweb/internal/obs"
 	"github.com/wattwiseweb/greenweb/internal/obs/trace"
 )
 
@@ -139,14 +137,15 @@ func TestLegacyWorkerGetsStrippedTrace(t *testing.T) {
 	}
 }
 
-// TestNoObsWorker: a worker built with NoObs (greennode -no-obs) declines
-// trace negotiation and runs every job with decision recording off; the
-// default worker does neither.
+// TestNoObsWorker: a worker built with NoObs (greennode -no-obs) echoes no
+// trace support in its welcome, so a client strips trace contexts and every
+// job arrives untraced; the default worker echoes it and receives the
+// context.
 func TestNoObsWorker(t *testing.T) {
 	for _, noObs := range []bool{false, true} {
-		var recorded atomic.Bool
+		traced := make(chan bool, 1)
 		exec := func(ctx context.Context, j fleet.Job) (*harness.Run, error) {
-			recorded.Store(obs.EnabledIn(ctx))
+			traced <- j.Trace != nil
 			return &harness.Run{}, nil
 		}
 		_, addr := startWorker(t, WorkerOptions{NoObs: noObs, Pool: fleet.Options{Workers: 1, Execute: exec}})
@@ -165,15 +164,19 @@ func TestNoObsWorker(t *testing.T) {
 		if welcome.Trace == noObs {
 			t.Errorf("noObs=%v: welcome negotiated trace=%v", noObs, welcome.Trace)
 		}
-		job := &fleet.Job{App: "Todo", Kind: harness.Perf, Phase: fleet.Micro}
-		if err := writeFrame(conn, frame{T: frameJob, ID: 1, Job: job}); err != nil {
+
+		n, err := NewRemoteNode(0, fastRemote(addr))
+		if err != nil {
 			t.Fatal(err)
 		}
-		if res, err := readFrame(conn); err != nil || res.T != frameResult {
-			t.Fatalf("noObs=%v: result %+v, %v", noObs, res, err)
+		defer n.Close()
+		job := fleet.Job{App: "Todo", Kind: harness.Perf, Phase: fleet.Micro,
+			Trace: &trace.Context{Sweep: "s-test", Job: 0, Parent: 7}}
+		if res := n.Run(context.Background(), job); res.Err != nil {
+			t.Fatalf("noObs=%v: %v", noObs, res.Err)
 		}
-		if recorded.Load() == noObs {
-			t.Errorf("noObs=%v: job ran with decision recording %v", noObs, recorded.Load())
+		if got := <-traced; got == noObs {
+			t.Errorf("noObs=%v: job arrived with trace context %v", noObs, got)
 		}
 	}
 }

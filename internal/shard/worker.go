@@ -24,9 +24,9 @@ type WorkerOptions struct {
 	Pool fleet.Options
 	// WriteTimeout caps one result/pong frame write. 0 → 10s.
 	WriteTimeout time.Duration
-	// NoObs turns decision recording and tracing off for every job this
-	// worker runs, and declines trace negotiation in the handshake
-	// (greennode -no-obs).
+	// NoObs declines trace negotiation in the handshake (greennode
+	// -no-obs): the welcome echoes no trace support, so clients strip
+	// trace contexts and every job this worker runs is untraced.
 	NoObs bool
 }
 
@@ -121,7 +121,7 @@ func (w *Worker) Serve(l net.Listener) error {
 			conn.Close()
 			return nil
 		}
-		ctx, cancel := context.WithCancel(obs.ContextWithObs(context.Background(), !w.opts.NoObs))
+		ctx, cancel := context.WithCancel(context.Background())
 		w.conns[conn] = cancel
 		w.connsTotal.Add(1)
 		w.wg.Add(1)
@@ -188,13 +188,13 @@ func (w *Worker) serveConn(ctx context.Context, conn net.Conn, name string) {
 		return
 	}
 	// Tracing negotiation: echo trace only when the client asked for it and
-	// this worker has obs enabled (greennode -no-obs keeps the fleet trace
-	// honest about which nodes contributed). The clock read (now_us) is
+	// this worker was not built with NoObs (greennode -no-obs keeps the
+	// fleet trace honest about which nodes contributed). The clock read (now_us) is
 	// taken as late as possible so the client's offset estimate brackets
 	// it; pid keys this worker's process row in the merged trace.
 	welcome := frame{T: frameWelcome, Proto: protoVersion,
 		Workers: w.pool.Workers(), Name: name}
-	if hello.Trace && obs.EnabledIn(ctx) {
+	if hello.Trace && !w.opts.NoObs {
 		welcome.Trace = true
 		welcome.PID = os.Getpid()
 		welcome.Now = time.Now().UnixMicro()
